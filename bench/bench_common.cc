@@ -12,7 +12,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/threading.hh"
-#include "fabric/fabric.hh"
 #include "sparse/suite.hh"
 
 namespace sadapt::bench {
@@ -47,13 +46,6 @@ onBenchTermSignal(int sig)
     // observes death-by-signal (exit status, shell ^C semantics).
     std::signal(sig, SIG_DFL);
     std::raise(sig);
-}
-
-unsigned
-fabricWorkers()
-{
-    return static_cast<unsigned>(
-        std::max(1.0, envDouble("SPARSEADAPT_FABRIC", 1)));
 }
 
 std::string
@@ -136,41 +128,10 @@ prefetchConfigs(Comparison &cmp, std::span<const HwConfig> cfgs,
 {
     const std::size_t before = cmp.db().simulatedConfigs();
     const auto start = std::chrono::steady_clock::now();
-    // SPARSEADAPT_FABRIC=N replays the missing cells of this batch
-    // through N crash-tolerant worker processes before the in-process
-    // sweep. The fabric merges deterministically, so ensure() below
-    // then serves every cell from the store and the results are
-    // byte-identical to the serial path; any fabric error just falls
-    // back to that serial path.
-    const unsigned fabric_workers = fabricWorkers();
-    store::EpochStore *st = cmp.db().epochStore();
-    if (fabric_workers > 1 && st != nullptr &&
-        !cmp.db().pendingConfigs(cfgs).empty()) {
-        fabric::FabricOptions fo;
-        fo.workers = fabric_workers;
-        fo.dir = st->stats().path + ".fabric.d";
-        if (obs::RunObserver *observer = benchObserver()) {
-            fo.metrics = &observer->metrics();
-            // Deterministic worker telemetry lands in the same
-            // registry the serial sweep exports into, so a fabric
-            // bench run's sim/ and profile/ metrics match a cold
-            // jobs=1 run of the same batch byte for byte.
-            fo.telemetry = &observer->metrics();
-        }
-        fabric::SweepFabric fab(cmp.db().workload(), *st, fo);
-        const Status ran = fab.runPhase(cfgs);
-        if (ran.isOk()) {
-            if (report != nullptr)
-                report->noteFabric(fabric_workers,
-                                   fab.stats().leasesReclaimed);
-        } else {
-            warn(str("SPARSEADAPT_FABRIC: ", ran.message(),
-                     " -- falling back to the serial sweep"));
-        }
-    }
     cmp.db().ensure(cfgs);
     // Sweep phase boundary: make every replay of this batch durable,
-    // so a killed bench resumes with only the missing cells.
+    // so a killed bench resumes with only the missing cells. This is
+    // the one crash-resume path: rerun with the same SPARSEADAPT_STORE.
     if (store::EpochStore *st = cmp.db().epochStore())
         st->flush();
     const double wall =
@@ -416,13 +377,6 @@ BenchReport::noteSweep(double wall_seconds, std::uint64_t configs)
 }
 
 void
-BenchReport::noteFabric(unsigned workers, std::uint64_t leases_reclaimed)
-{
-    fabricWorkersV = std::max(fabricWorkersV, workers);
-    fabricLeasesReclaimedV += leases_reclaimed;
-}
-
-void
 BenchReport::noteTraceDecode(double wall_seconds)
 {
     traceDecodeSecondsV += wall_seconds;
@@ -475,9 +429,6 @@ BenchReport::write() const
     out << "  \"scale\": " << datasetScale() << ",\n";
     out << "  \"samples\": " << sampleCount() << ",\n";
     out << "  \"jobs\": " << benchJobs() << ",\n";
-    out << "  \"fabric_workers\": " << fabricWorkersV << ",\n";
-    out << "  \"fabric_leases_reclaimed\": " << fabricLeasesReclaimedV
-        << ",\n";
     out << "  \"sweep_wall_seconds\": " << sweepSecondsV << ",\n";
     out << "  \"configs_simulated\": " << configsSimulatedV << ",\n";
     out << "  \"trace_format\": \"" << jsonEscape(traceFormatV)

@@ -26,12 +26,11 @@
  *    When a store is open the bench also flushes it from a
  *    SIGTERM/SIGINT handler, so an interrupted run keeps every
  *    finished replay.
- *  - SPARSEADAPT_FABRIC       worker-process count (>1) for the
- *    crash-tolerant sweep fabric (src/fabric). Requires
- *    SPARSEADAPT_STORE; prefetched batches are then replayed by N
- *    forked workers with lease-based crash recovery, and the merged
- *    store — and therefore every result — is byte-identical to the
- *    serial path. Off (serial) by default.
+ *
+ * SPARSEADAPT_JOBS plus SPARSEADAPT_STORE is the one way to run a
+ * sweep in parallel and to resume a killed one: prefetchConfigs()
+ * flushes the store at every batch boundary, and a rerun against the
+ * same store replays only the configurations that were not flushed.
  */
 
 #ifndef SADAPT_BENCH_BENCH_COMMON_HH
@@ -159,14 +158,6 @@ class BenchReport
     void noteSweep(double wall_seconds, std::uint64_t configs);
 
     /**
-     * Account one fabric-backed sweep: worker count used and leases
-     * reclaimed from crashed workers. Reported as "fabric_workers"
-     * (max over sweeps; 0 = fabric never used) and
-     * "fabric_leases_reclaimed" (summed).
-     */
-    void noteFabric(unsigned workers, std::uint64_t leases_reclaimed);
-
-    /**
      * Account host seconds spent decoding a serialized trace into the
      * replay-ready SoA form (text parse + conversion, or columnar
      * mmap load). Accumulated into "trace_decode_seconds", reported
@@ -213,8 +204,6 @@ class BenchReport
     std::chrono::steady_clock::time_point startV;
     double sweepSecondsV = 0.0;
     std::uint64_t configsSimulatedV = 0;
-    unsigned fabricWorkersV = 0;
-    std::uint64_t fabricLeasesReclaimedV = 0;
     double traceDecodeSecondsV = 0.0;
     std::string traceFormatV = "columnar";
     std::uint64_t serveSessionsV = 0;

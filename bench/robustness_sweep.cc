@@ -124,8 +124,7 @@ main()
         Comparison cmp(wl, &pred,
                        defaultComparison(OptMode::EnergyEfficient,
                                          PolicyKind::Hybrid, 0.4));
-        // Batch the candidate replays up front (and through the sweep
-        // fabric when SPARSEADAPT_FABRIC asks for it) so the per-rate
+        // Batch the candidate replays up front so the per-rate
         // evaluations below only serve cache hits.
         prefetchConfigs(cmp, cmp.candidates(), &report);
 

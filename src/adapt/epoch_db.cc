@@ -161,47 +161,6 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
     }
 }
 
-std::vector<HwConfig>
-EpochDb::pendingConfigs(std::span<const HwConfig> cfgs) const
-{
-    std::vector<HwConfig> pending;
-    std::unordered_set<std::uint64_t> queued;
-    for (const HwConfig &cfg : cfgs) {
-        SADAPT_ASSERT(cfg.l1Type == wl.l1Type,
-                      "config L1 memory type must match the workload");
-        const std::uint64_t k = key(cfg);
-        if (cache.contains(k) || !queued.insert(k).second)
-            continue;
-        if (storeV != nullptr && storeV->contains(fingerprintV, cfg))
-            continue;
-        pending.push_back(cfg);
-    }
-    return pending;
-}
-
-std::vector<std::size_t>
-scheduleSweepCells(std::size_t cellCount,
-                   const std::vector<bool> &claimed,
-                   unsigned workerIndex, unsigned workerCount)
-{
-    SADAPT_ASSERT(claimed.size() == cellCount,
-                  "claim mask must cover every cell");
-    const std::size_t n = cellCount;
-    const std::size_t start = n > 0 && workerCount > 0
-        ? (static_cast<std::size_t>(workerIndex % workerCount) * n) /
-            workerCount
-        : 0;
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    for (int wantClaimed = 0; wantClaimed < 2; ++wantClaimed)
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t cell = (start + i) % n;
-            if (claimed[cell] == (wantClaimed != 0))
-                order.push_back(cell);
-        }
-    return order;
-}
-
 const std::vector<EpochRecord> &
 EpochDb::epochs(const HwConfig &cfg)
 {
@@ -239,7 +198,7 @@ namespace {
 ScheduleEval
 stitch(EpochDb &db, const Schedule &schedule,
        const ReconfigCostModel &cost_model, OptMode mode,
-       const HwConfig &initial, int phase_filter, bool prefix)
+       const HwConfig &initial, bool prefix)
 {
     if (prefix)
         SADAPT_ASSERT(schedule.configs.size() <= db.numEpochs(),
@@ -262,8 +221,6 @@ stitch(EpochDb &db, const Schedule &schedule,
             current = cfg;
         }
         const EpochRecord &rec = db.epochs(cfg)[e];
-        if (phase_filter >= 0 && rec.phase != phase_filter)
-            continue;
         ev.flops += rec.flops;
         ev.seconds += rec.seconds;
         ev.energy += rec.totalEnergy();
@@ -278,8 +235,7 @@ evaluateSchedule(EpochDb &db, const Schedule &schedule,
                  const ReconfigCostModel &cost_model, OptMode mode,
                  const HwConfig &initial)
 {
-    return stitch(db, schedule, cost_model, mode, initial, -1,
-                  false);
+    return stitch(db, schedule, cost_model, mode, initial, false);
 }
 
 ScheduleEval
@@ -287,17 +243,7 @@ evaluateSchedulePrefix(EpochDb &db, const Schedule &schedule,
                        const ReconfigCostModel &cost_model,
                        OptMode mode, const HwConfig &initial)
 {
-    return stitch(db, schedule, cost_model, mode, initial, -1, true);
-}
-
-ScheduleEval
-evaluateScheduleForPhase(EpochDb &db, const Schedule &schedule,
-                         const ReconfigCostModel &cost_model,
-                         OptMode mode, const HwConfig &initial,
-                         int phase)
-{
-    return stitch(db, schedule, cost_model, mode, initial, phase,
-                  false);
+    return stitch(db, schedule, cost_model, mode, initial, true);
 }
 
 } // namespace sadapt

@@ -119,18 +119,6 @@ class EpochDb
     /** Decode a cache key back to its configuration. */
     HwConfig keyConfig(std::uint64_t key) const;
 
-    /**
-     * The subset of `cfgs` that ensure() would actually have to
-     * simulate: deduplicated, in request order, minus configurations
-     * already memoized or already complete in the attached store.
-     * Pure query — it uses EpochStore::contains(), not get(), so it
-     * perturbs neither the LRU nor the hit/miss accounting and a
-     * jobs=1 run stays bit-identical whether or not anyone asked.
-     * The sweep fabric uses it as the phase work list.
-     */
-    std::vector<HwConfig>
-    pendingConfigs(std::span<const HwConfig> cfgs) const;
-
   private:
     const Workload &wl;
     /**
@@ -154,21 +142,6 @@ class EpochDb
     const SimResult &simulateAndCommit(std::uint64_t key,
                                        const HwConfig &cfg);
 };
-
-/**
- * Visit order for one fabric worker over a phase's pending sweep
- * cells: the indices [0, cellCount) with unclaimed cells first —
- * rotated by workerIndex modulo workerCount so concurrent workers
- * start their scans at disjoint offsets and rarely race for the same
- * claim — followed by the live-claimed cells in the same rotated
- * order (stragglers a finishing worker may choose to duplicate;
- * duplicated work is harmless because replays are bit-identical and
- * the merge deduplicates). `claimed.size()` must equal `cellCount`.
- */
-std::vector<std::size_t>
-scheduleSweepCells(std::size_t cellCount,
-                   const std::vector<bool> &claimed,
-                   unsigned workerIndex, unsigned workerCount);
 
 /** Aggregate outcome of a stitched schedule. */
 struct ScheduleEval
@@ -205,16 +178,6 @@ ScheduleEval evaluateSchedulePrefix(EpochDb &db,
                                     const ReconfigCostModel &cost_model,
                                     OptMode mode,
                                     const HwConfig &initial);
-
-/**
- * Stitch a schedule restricted to the epochs of one explicit phase
- * (others contribute nothing); used to compute per-phase metrics.
- */
-ScheduleEval evaluateScheduleForPhase(EpochDb &db,
-                                      const Schedule &schedule,
-                                      const ReconfigCostModel &cost_model,
-                                      OptMode mode,
-                                      const HwConfig &initial, int phase);
 
 } // namespace sadapt
 

@@ -40,9 +40,6 @@ memberSinks()
         {"put",
          {"EpochStore::put", "EpochStore",
           {"store", "shard", "db", "main"}}},
-        {"putCell",
-         {"EpochStore::putCell", "EpochStore",
-          {"store", "shard", "db", "main"}}},
         {"write",
          {"JournalWriter::write", "JournalWriter",
           {"writer", "journal"}}},
@@ -52,13 +49,10 @@ memberSinks()
         {"noteSweep",
          {"BenchReport::noteSweep", "BenchReport",
           {"report", "bench"}}},
-        {"noteFabric",
-         {"BenchReport::noteFabric", "BenchReport",
-          {"report", "bench"}}},
         {"add",
          {"BenchReport::add", "BenchReport", {"report", "bench"}}},
         {"append",
-         {"RecordLog::append", "RecordLog", {"log", "lease"}}},
+         {"RecordLog::append", "RecordLog", {"log"}}},
     };
     return sinks;
 }
@@ -132,8 +126,8 @@ kindRule(TaintKind k)
 /**
  * True when `pathPrefix` matches `rel_path` anchored at a path
  * component boundary: at the start of the path or right after a '/'.
- * A bare substring match would let "obs/prof" silence rules in any
- * file whose path merely contains it (e.g. "myobs/profiler_x.cc").
+ * A bare substring match would let "common/rng" silence rules in any
+ * file whose path merely contains it (e.g. "mycommon/rng_x.cc").
  */
 bool
 prefixAtComponent(const std::string &rel_path,
@@ -215,20 +209,6 @@ const std::vector<RuleAllowance> &
 determinismAllowances()
 {
     static const std::vector<RuleAllowance> table = {
-        {"lint-wallclock", "obs/prof",
-         "host profiling timers behind SADAPT_PROF; results go to "
-         "stderr diagnostics, never into deterministic artifacts"},
-        {"lint-mutable-global", "obs/prof",
-         "process-wide profiling accumulator behind SADAPT_PROF; "
-         "diagnostics only"},
-        {"lint-wallclock", "fabric/lease_log",
-         "lease heartbeat ticks are per-run crash-detection scratch; "
-         "the merged store is rebuilt in canonical order (DESIGN "
-         "S11)"},
-        {"lint-mutable-global", "fabric/fabric",
-         "volatile sig_atomic_t stop flag written by worker signal "
-         "handlers; a stopped worker's work is redone and the "
-         "merged store is rebuilt in canonical order (DESIGN S11)"},
         {"lint-mutable-global", "common/logging",
          "process-wide log-level cache; stderr diagnostics only, "
          "never a deterministic artifact"},
@@ -290,7 +270,7 @@ checkDeterminism(
                 str("mutable ", g.storage, " state '", g.name,
                     "' in the serve layer: sessions may share the "
                     "store/pool/registry only via handles injected "
-                    "through ServeOptions (DESIGN S15)"));
+                    "through ServeOptions (DESIGN S14)"));
             continue;
         }
         if (allowed("lint-mutable-global", g.file))

@@ -2,7 +2,7 @@
  * @file
  * The determinism-contract analyzer of the sadapt-check suite.
  *
- * DESIGN §9–§11 promise byte-identical sweep artifacts across --jobs
+ * DESIGN §9–§10 promise byte-identical sweep artifacts across --jobs
  * levels, kill-9 resume drills and warm/cold store runs. This checker
  * enforces the source-level half of that contract in two layers over
  * the symbol tables of analysis/symbols:
@@ -15,13 +15,13 @@
  *                           floats (iteration order is seed/ASLR
  *                           dependent)
  *      lint-pointer-order   ordering or keying by pointer value
- *      lint-wallclock       chrono/time reads outside the profiling
- *                           and lease-heartbeat allowances
+ *      lint-wallclock       chrono/time reads anywhere in the
+ *                           analyzed tree
  *      lint-serve-session-state  non-const static-storage state
  *                           anywhere under a serve/ component: the
  *                           multi-tenant server may share state
  *                           across sessions only via handles injected
- *                           through ServeOptions (DESIGN §15), so a
+ *                           through ServeOptions (DESIGN §14), so a
  *                           serve-layer global is a cross-session
  *                           leak, not merely a determinism risk
  *
@@ -56,12 +56,12 @@ namespace sadapt::analysis {
 /**
  * A scoped permission for one rule in one module, with the reason it
  * is sound. Matching is by substring on the analyzer-relative path
- * ("obs/prof" covers both obs/prof.hh and obs/prof.cc).
+ * ("common/rng" covers both common/rng.hh and common/rng.cc).
  */
 struct RuleAllowance
 {
     std::string rule;       //!< "lint-wallclock", ...
-    std::string pathPrefix; //!< e.g. "obs/prof"
+    std::string pathPrefix; //!< e.g. "common/rng"
     std::string why;        //!< one-line justification
 };
 

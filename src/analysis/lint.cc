@@ -62,9 +62,6 @@ lintSource(const std::string &source, const std::string &rel_path)
     // framed, CRC-guarded appends.
     const bool store_raw_io_scope = underDir(rel_path, "store") &&
         rel_path.find("store/record_log") == std::string::npos;
-    // src/fabric is the one home allowed to fork/exec/signal/reap;
-    // everywhere else process control is banned outright.
-    const bool fabric_home = underDir(rel_path, "fabric");
     // sim/trace_columnar.{hh,cc} is the one home allowed to mmap and
     // touch raw file descriptors (the zero-copy trace loader); the
     // same single-owner discipline store/record_log applies to raw
@@ -149,12 +146,11 @@ lintSource(const std::string &source, const std::string &rel_path)
                             "store/record_log's framed CRC records"));
         }
 
-        // lint-fabric-process: process control outside src/fabric,
-        // the one home allowed to fork, signal and reap. Anywhere
-        // else a stray fork duplicates open record-log buffers and a
-        // stray kill/waitpid races the fabric coordinator's
-        // bookkeeping.
-        if (!fabric_home && t.kind == Token::Kind::Ident &&
+        // lint-process-control: process control anywhere in src/.
+        // Sweeps run in-process (jobs=N threads), so a stray fork
+        // duplicates open record-log buffers and a stray kill/waitpid
+        // has no child of the library to act on.
+        if (t.kind == Token::Kind::Ident &&
             (t.text == "fork" || t.text == "vfork" ||
              t.text == "execv" || t.text == "execve" ||
              t.text == "execvp" || t.text == "execl" ||
@@ -172,11 +168,11 @@ lintSource(const std::string &source, const std::string &rel_path)
                 member = true;
             if (next && next->text == "(" && !member) {
                 report.add(
-                    "lint-fabric-process", rel_path, t.line,
+                    "lint-process-control", rel_path, t.line,
                     Severity::Error,
                     str("call to ", t.text, "(): process control "
-                        "(fork/exec/kill/wait) lives only in "
-                        "src/fabric's sweep fabric"));
+                        "(fork/exec/kill/wait) has no home in the "
+                        "library; sweeps run in-process"));
             }
         }
 

@@ -27,11 +27,10 @@
  *    std fstream family) in store/ outside store/record_log — every
  *    byte of a store file must pass through the framed, CRC-guarded
  *    record writer, or crash-safety silently evaporates.
- *  - lint-fabric-process: no fork/vfork/exec-family/kill/waitpid/
- *    posix_spawn outside src/fabric — the sweep fabric's coordinator
- *    owns every child process; a stray fork elsewhere duplicates open
- *    record-log buffers, and stray signaling races the fabric's
- *    lease bookkeeping.
+ *  - lint-process-control: no fork/vfork/exec-family/kill/waitpid/
+ *    posix_spawn anywhere in the library — sweeps run in-process
+ *    (jobs=N threads), so the library owns no child process; a stray
+ *    fork duplicates open record-log buffers and threads mid-flight.
  *  - lint-trace-raw-mmap: no mmap/munmap/madvise/mremap/pread/pwrite
  *    outside sim/trace_columnar — the columnar loader is the single
  *    lifetime authority for mapped trace bytes, and every TraceView's

@@ -5,6 +5,9 @@
 
 namespace sadapt {
 
+namespace {
+
+/** Mean held-out accuracy of a tree under k-fold cross-validation. */
 double
 crossValidateTree(const Dataset &data, const TreeParams &params,
                   std::size_t k, Rng &rng)
@@ -27,6 +30,8 @@ crossValidateTree(const Dataset &data, const TreeParams &params,
     }
     return acc_sum / static_cast<double>(k);
 }
+
+} // namespace
 
 GridSearchResult
 gridSearchTree(const Dataset &data, std::size_t k, Rng &rng)

@@ -1,8 +1,8 @@
 /**
  * @file
- * k-fold cross-validation and hyperparameter grid search, matching the
- * paper's training methodology (Section 5.1: k = 3 folds, sweeping
- * criterion, max_depth and min_samples_leaf).
+ * Hyperparameter grid search scored by k-fold cross-validation,
+ * matching the paper's training methodology (Section 5.1: k = 3
+ * folds, sweeping criterion, max_depth and min_samples_leaf).
  */
 
 #ifndef SADAPT_ML_CROSS_VALIDATION_HH
@@ -13,13 +13,6 @@
 namespace sadapt {
 
 class Rng;
-
-/**
- * Mean held-out accuracy of a decision tree with the given
- * hyperparameters under k-fold cross-validation.
- */
-double crossValidateTree(const Dataset &data, const TreeParams &params,
-                         std::size_t k, Rng &rng);
 
 /** Result of a hyperparameter search. */
 struct GridSearchResult
@@ -32,7 +25,8 @@ struct GridSearchResult
 };
 
 /**
- * Grid-search tree hyperparameters with k-fold CV. The default grid is
+ * Grid-search tree hyperparameters, scoring each point by its mean
+ * held-out accuracy under k-fold cross-validation. The default grid is
  * the paper's swept set: both criteria, depths 2 -> 26 (x2 steps), and
  * min_samples_leaf in {1, 4, 16}.
  */

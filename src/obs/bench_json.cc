@@ -339,9 +339,6 @@ parseBenchJson(std::string_view text)
     run.decisionP99Ms = numberOr(root, "decision_p99_ms", 0.0);
     run.serveEpochsPerSecond =
         numberOr(root, "serve_epochs_per_second", 0.0);
-    run.fabricWorkers = countOr(root, "fabric_workers", 0);
-    run.fabricLeasesReclaimed =
-        countOr(root, "fabric_leases_reclaimed", 0);
     run.storeHits = countOr(root, "store_hits", 0);
     run.storeMisses = countOr(root, "store_misses", 0);
     run.storePath = stringOr(root, "store_path", "");

@@ -72,9 +72,7 @@ struct BenchRun
     double decisionP99Ms = 0.0;
     double serveEpochsPerSecond = 0.0;
 
-    /** Fabric / store provenance. */
-    std::uint64_t fabricWorkers = 0;
-    std::uint64_t fabricLeasesReclaimed = 0;
+    /** Store provenance. */
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
     std::string storePath;

@@ -470,7 +470,7 @@ journalEventTypes()
     static const std::vector<std::string> types = {
         "run",      "epoch",    "prediction", "policy",
         "reconfig", "guard",    "watchdog",   "fault",
-        "store",    "fabric",   "session",
+        "store",    "session",
     };
     return types;
 }

@@ -70,21 +70,6 @@ Histogram::quantile(double q) const
     return static_cast<double>(bucketLo(numBuckets - 1));
 }
 
-void
-Histogram::addParsed(
-    std::uint64_t count, std::uint64_t sum,
-    const std::vector<std::pair<std::size_t, std::uint64_t>>
-        &bucket_counts)
-{
-    for (const auto &[bucket, n] : bucket_counts) {
-        SADAPT_ASSERT(bucket < numBuckets,
-                      "parsed histogram bucket out of range");
-        buckets[bucket] += n;
-    }
-    countV += count;
-    sumV += sum;
-}
-
 MetricRegistry::Entry &
 MetricRegistry::entry(const std::string &name, MetricKind kind)
 {
@@ -135,25 +120,6 @@ MetricRegistry::merge(const MetricRegistry &other)
             break;
           case MetricKind::Histogram:
             histogram(e.name).merge(e.histV);
-            break;
-        }
-    }
-}
-
-void
-MetricRegistry::mergeSamples(const std::vector<MetricSample> &samples)
-{
-    for (const MetricSample &s : samples) {
-        switch (s.kind) {
-          case MetricKind::Counter:
-            counter(s.name).add(s.counterValue);
-            break;
-          case MetricKind::Gauge:
-            gauge(s.name).set(s.gaugeValue);
-            break;
-          case MetricKind::Histogram:
-            histogram(s.name).addParsed(s.histCount, s.histSum,
-                                        s.histBuckets);
             break;
         }
     }

@@ -102,17 +102,6 @@ class Histogram
      */
     double quantile(double q) const;
 
-    /**
-     * Accumulate data parsed back from a text snapshot: total count
-     * and sum plus sparse (bucket, count) pairs. The dual of the
-     * writeText() hist line, used when merging per-worker snapshot
-     * shards whose live Histogram objects are gone.
-     */
-    void addParsed(
-        std::uint64_t count, std::uint64_t sum,
-        const std::vector<std::pair<std::size_t, std::uint64_t>>
-            &bucket_counts);
-
     /** Bucket-wise accumulate another histogram into this one. */
     void
     merge(const Histogram &other)
@@ -159,15 +148,6 @@ class MetricRegistry
      * deterministic merge points (DESIGN.md section 9).
      */
     void merge(const MetricRegistry &other);
-
-    /**
-     * merge(), but from samples parsed out of a text snapshot
-     * (readMetricsText): counters add, gauges take the sample's value,
-     * histograms accumulate the sample's bucket counts. Merging worker
-     * shards in canonical order reproduces the registry a single
-     * serial run would have built (DESIGN.md section 12).
-     */
-    void mergeSamples(const std::vector<MetricSample> &samples);
 
     std::size_t size() const { return entries.size(); }
 

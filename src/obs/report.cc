@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <ostream>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -312,142 +311,6 @@ renderStoreSection(const std::vector<JournalEvent> &events,
     return true;
 }
 
-namespace {
-
-/**
- * Lease records in deterministic render order: by tick, then writer,
- * then the writer's own sequence number. Ticks come from one host's
- * monotonic clock, so ordering across writers is meaningful within
- * one fabric run.
- */
-std::vector<const LeaseEntry *>
-sortedLeases(const std::vector<LeaseEntry> &leases)
-{
-    std::vector<const LeaseEntry *> sorted;
-    sorted.reserve(leases.size());
-    for (const LeaseEntry &l : leases)
-        sorted.push_back(&l);
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const LeaseEntry *a, const LeaseEntry *b) {
-                         if (a->tickMs != b->tickMs)
-                             return a->tickMs < b->tickMs;
-                         if (a->worker != b->worker)
-                             return a->worker < b->worker;
-                         return a->seq < b->seq;
-                     });
-    return sorted;
-}
-
-/** Per-worker roll-up accumulated from lease records. */
-struct WorkerTally
-{
-    std::uint64_t claims = 0;
-    std::uint64_t completes = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t reclaims = 0;
-    std::uint64_t quarantines = 0;
-    std::uint64_t heartbeats = 0; //!< renews + sentinel heartbeats
-    std::uint64_t firstTick = ~std::uint64_t{0};
-    std::uint64_t lastTick = 0;
-    std::uint64_t busyMs = 0; //!< summed claim -> complete/release
-    std::map<std::uint32_t, std::uint64_t> openClaims; //!< cell->tick
-};
-
-std::map<std::uint32_t, WorkerTally>
-tallyWorkers(const std::vector<const LeaseEntry *> &sorted)
-{
-    std::map<std::uint32_t, WorkerTally> workers;
-    for (const LeaseEntry *l : sorted) {
-        WorkerTally &w = workers[l->worker];
-        w.firstTick = std::min(w.firstTick, l->tickMs);
-        w.lastTick = std::max(w.lastTick, l->tickMs);
-        if (l->heartbeat || l->op == "renew") {
-            ++w.heartbeats;
-            continue;
-        }
-        if (l->op == "claim") {
-            ++w.claims;
-            w.openClaims[l->config] = l->tickMs;
-        } else if (l->op == "complete" || l->op == "release") {
-            ++(l->op == "complete" ? w.completes : w.releases);
-            const auto it = w.openClaims.find(l->config);
-            if (it != w.openClaims.end()) {
-                w.busyMs += l->tickMs - it->second;
-                w.openClaims.erase(it);
-            }
-        } else if (l->op == "reclaim") {
-            ++w.reclaims;
-        } else if (l->op == "quarantine") {
-            ++w.quarantines;
-        }
-    }
-    return workers;
-}
-
-} // namespace
-
-bool
-renderFabricSection(const std::vector<LeaseEntry> &leases,
-                    std::ostream &out)
-{
-    if (leases.empty())
-        return false;
-    const std::vector<const LeaseEntry *> sorted = sortedLeases(leases);
-    const std::uint64_t t0 = sorted.front()->tickMs;
-
-    // Per-cell lease timeline, cells in config-code order, records in
-    // tick order with ticks relative to the phase's first record.
-    std::map<std::uint32_t, std::vector<const LeaseEntry *>> cells;
-    for (const LeaseEntry *l : sorted) {
-        if (!l->heartbeat)
-            cells[l->config].push_back(l);
-    }
-    out << "== fabric leases ==\n";
-    if (cells.empty())
-        out << "(heartbeats only)\n";
-    for (const auto &[code, recs] : cells) {
-        out << "cell " << code << ":";
-        bool first = true;
-        for (const LeaseEntry *l : recs) {
-            out << (first ? " " : "; ") << '+'
-                << (l->tickMs - t0) << "ms w" << l->worker << ' '
-                << l->op;
-            if (l->op == "reclaim")
-                out << "(w" << l->peer << ')';
-            first = false;
-        }
-        out << '\n';
-    }
-
-    out << "\n== fabric workers ==\n";
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "%-8s %7s %9s %8s %10s %8s %8s %6s\n", "worker",
-                  "claims", "completes", "reclaims", "heartbeats",
-                  "busy-ms", "span-ms", "util");
-    out << line;
-    for (const auto &[id, w] : tallyWorkers(sorted)) {
-        const std::uint64_t span =
-            w.lastTick >= w.firstTick ? w.lastTick - w.firstTick : 0;
-        const std::string util = span == 0
-            ? std::string("-")
-            : num(100.0 * static_cast<double>(w.busyMs) /
-                  static_cast<double>(span)) +
-                "%";
-        std::snprintf(
-            line, sizeof(line),
-            "w%-7u %7llu %9llu %8llu %10llu %8llu %8llu %6s\n", id,
-            static_cast<unsigned long long>(w.claims),
-            static_cast<unsigned long long>(w.completes),
-            static_cast<unsigned long long>(w.reclaims),
-            static_cast<unsigned long long>(w.heartbeats),
-            static_cast<unsigned long long>(w.busyMs),
-            static_cast<unsigned long long>(span), util.c_str());
-        out << line;
-    }
-    return true;
-}
-
 bool
 renderProfileSection(const std::vector<MetricSample> &metrics,
                      std::ostream &out)
@@ -562,7 +425,6 @@ renderProfileSection(const std::vector<MetricSample> &metrics,
 void
 renderReport(const std::vector<JournalEvent> &events,
              const std::vector<MetricSample> &metrics,
-             const std::vector<LeaseEntry> &leases,
              const ReportOptions &opts, std::ostream &out)
 {
     out << "sadapt-report\n";
@@ -581,8 +443,6 @@ renderReport(const std::vector<JournalEvent> &events,
     out << '\n';
     if (renderStoreSection(events, metrics, out))
         out << '\n';
-    if (renderFabricSection(leases, out))
-        out << '\n';
     if (opts.profile && renderProfileSection(metrics, out))
         out << '\n';
     renderMetricRollups(metrics, out);
@@ -593,7 +453,7 @@ renderReport(const std::vector<JournalEvent> &events,
              const std::vector<MetricSample> &metrics,
              std::ostream &out)
 {
-    renderReport(events, metrics, {}, ReportOptions{}, out);
+    renderReport(events, metrics, ReportOptions{}, out);
 }
 
 namespace {
@@ -615,7 +475,6 @@ appendTraceString(std::string &out, const std::string &s)
 
 void
 writeChromeTrace(const std::vector<JournalEvent> &events,
-                 const std::vector<LeaseEntry> &leases,
                  std::ostream &out)
 {
     // One virtual process, two tracks: epochs (tid 0) as duration
@@ -672,89 +531,7 @@ writeChromeTrace(const std::vector<JournalEvent> &events,
         out << ",\n" << line;
     }
 
-    // Fabric worker tracks: one virtual process (pid 2), one thread
-    // per worker, claim-to-completion slices per cell plus instants
-    // for reclaims and quarantines. The timebase is the lease tick
-    // clock (milliseconds since the phase's first record), distinct
-    // from the simulated-time tracks above.
-    if (!leases.empty()) {
-        const std::vector<const LeaseEntry *> sorted =
-            sortedLeases(leases);
-        const std::uint64_t t0 = sorted.front()->tickMs;
-        const auto tickUs = [&](std::uint64_t tick) {
-            return static_cast<double>(tick - t0) * 1e3;
-        };
-
-        out << ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
-               "\"tid\":0,\"args\":{\"name\":\"fabric\"}}";
-        std::set<std::uint32_t> workers;
-        for (const LeaseEntry *l : sorted)
-            workers.insert(l->worker);
-        for (const std::uint32_t id : workers) {
-            out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\","
-                   "\"pid\":2,\"tid\":"
-                << id << ",\"args\":{\"name\":";
-            std::string name;
-            appendTraceString(name, "worker " + std::to_string(id));
-            out << name << "}}";
-        }
-
-        std::map<std::pair<std::uint32_t, std::uint32_t>,
-                 std::uint64_t>
-            open; // (worker, cell) -> claim tick
-        for (const LeaseEntry *l : sorted) {
-            if (l->heartbeat || l->op == "renew")
-                continue;
-            std::string line;
-            if (l->op == "claim") {
-                open[{l->worker, l->config}] = l->tickMs;
-                continue;
-            }
-            if (l->op == "complete" || l->op == "release") {
-                const auto it = open.find({l->worker, l->config});
-                if (it == open.end())
-                    continue;
-                line += "{\"name\":";
-                appendTraceString(
-                    line, "cell " + std::to_string(l->config));
-                line += ",\"cat\":\"lease\",\"ph\":\"X\",\"ts\":";
-                line += num(tickUs(it->second));
-                line += ",\"dur\":";
-                line += num(tickUs(l->tickMs) - tickUs(it->second));
-                line += ",\"pid\":2,\"tid\":";
-                line += std::to_string(l->worker);
-                line += ",\"args\":{\"op\":";
-                appendTraceString(line, l->op);
-                line += "}}";
-                open.erase(it);
-            } else if (l->op == "reclaim" ||
-                       l->op == "quarantine") {
-                line += "{\"name\":";
-                appendTraceString(
-                    line,
-                    l->op + " cell " + std::to_string(l->config));
-                line += ",\"cat\":\"lease\",\"ph\":\"i\",\"s\":\"t\","
-                        "\"ts\":";
-                line += num(tickUs(l->tickMs));
-                line += ",\"pid\":2,\"tid\":";
-                line += std::to_string(l->worker);
-                line += ",\"args\":{\"peer\":";
-                line += std::to_string(l->peer);
-                line += "}}";
-            } else {
-                continue;
-            }
-            out << ",\n" << line;
-        }
-    }
     out << "\n]}\n";
-}
-
-void
-writeChromeTrace(const std::vector<JournalEvent> &events,
-                 std::ostream &out)
-{
-    writeChromeTrace(events, {}, out);
 }
 
 namespace {
@@ -817,7 +594,6 @@ jsonFields(const JournalEvent &ev, std::string &out)
 void
 renderReportJson(const std::vector<JournalEvent> &events,
                  const std::vector<MetricSample> &metrics,
-                 const std::vector<LeaseEntry> &leases,
                  const ReportOptions &opts, std::ostream &out)
 {
     out << "{\n  \"version\": 1,\n";
@@ -935,54 +711,6 @@ renderReportJson(const std::vector<JournalEvent> &events,
         out << '}';
     }
     out << (first ? "],\n" : "\n  ],\n");
-
-    // Fabric sections (null without lease records).
-    out << "  \"fabric\": ";
-    if (leases.empty()) {
-        out << "null,\n";
-    } else {
-        const std::vector<const LeaseEntry *> sorted =
-            sortedLeases(leases);
-        const std::uint64_t t0 = sorted.front()->tickMs;
-        std::map<std::uint32_t, std::vector<const LeaseEntry *>> cells;
-        for (const LeaseEntry *l : sorted) {
-            if (!l->heartbeat)
-                cells[l->config].push_back(l);
-        }
-        out << "{\n    \"cells\": [";
-        first = true;
-        for (const auto &[code, recs] : cells) {
-            out << (first ? "\n" : ",\n");
-            first = false;
-            out << "      {\"config\": " << code << ", \"records\": [";
-            for (std::size_t i = 0; i < recs.size(); ++i) {
-                if (i > 0)
-                    out << ", ";
-                out << "{\"t_ms\": " << (recs[i]->tickMs - t0)
-                    << ", \"worker\": " << recs[i]->worker
-                    << ", \"op\": \"" << jsonEscape(recs[i]->op)
-                    << "\", \"peer\": " << recs[i]->peer << '}';
-            }
-            out << "]}";
-        }
-        out << (first ? "],\n" : "\n    ],\n");
-        out << "    \"workers\": [";
-        first = true;
-        for (const auto &[id, w] : tallyWorkers(sorted)) {
-            const std::uint64_t span = w.lastTick >= w.firstTick
-                ? w.lastTick - w.firstTick
-                : 0;
-            out << (first ? "\n" : ",\n");
-            first = false;
-            out << "      {\"worker\": " << id << ", \"claims\": "
-                << w.claims << ", \"completes\": " << w.completes
-                << ", \"reclaims\": " << w.reclaims
-                << ", \"heartbeats\": " << w.heartbeats
-                << ", \"busy_ms\": " << w.busyMs << ", \"span_ms\": "
-                << span << '}';
-        }
-        out << (first ? "]\n  },\n" : "\n    ]\n  },\n");
-    }
 
     // Profile roll-up (null unless requested and present).
     bool have_profile = false;

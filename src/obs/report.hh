@@ -9,7 +9,6 @@
 #ifndef SADAPT_OBS_REPORT_HH
 #define SADAPT_OBS_REPORT_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -18,22 +17,6 @@
 #include "obs/metrics.hh"
 
 namespace sadapt::obs {
-
-/**
- * One decoded fabric lease record, handed in by the caller (the CLI
- * scans `w*.lease` files with the store codec; tests construct these
- * directly so the renderers stay free of store/fabric dependencies).
- */
-struct LeaseEntry
-{
-    std::uint32_t worker = 0;  //!< writer of the record (0=coordinator)
-    std::string op;            //!< "claim", "renew", "complete", ...
-    std::uint32_t config = 0;  //!< cell (config code); 0 if heartbeat
-    std::uint32_t peer = 0;    //!< reclaim: worker whose lease expired
-    std::uint64_t seq = 0;     //!< per-writer strictly increasing
-    std::uint64_t tickMs = 0;  //!< monotonic-clock milliseconds
-    bool heartbeat = false;    //!< idle-liveness sentinel, not a cell
-};
 
 /** Rendering switches of the full report. */
 struct ReportOptions
@@ -84,26 +67,15 @@ bool renderProfileSection(const std::vector<MetricSample> &metrics,
                           std::ostream &out);
 
 /**
- * Fabric sections rendered from decoded lease records: the per-cell
- * lease timeline (claims, reclaims, completions, quarantines, with
- * ticks relative to the earliest record) and the per-worker
- * utilization roll-up. Returns whether anything was rendered (false
- * when `leases` is empty).
- */
-bool renderFabricSection(const std::vector<LeaseEntry> &leases,
-                         std::ostream &out);
-
-/**
  * The full report: run header, timeline, reconfiguration summary,
- * store/fabric/profile sections (when their inputs are present) and
- * metric roll-ups. Any input may be empty.
+ * store/profile sections (when their inputs are present) and metric
+ * roll-ups. Any input may be empty.
  */
 void renderReport(const std::vector<JournalEvent> &events,
                   const std::vector<MetricSample> &metrics,
-                  const std::vector<LeaseEntry> &leases,
                   const ReportOptions &opts, std::ostream &out);
 
-/** renderReport() with no lease records and default options. */
+/** renderReport() with default options. */
 void renderReport(const std::vector<JournalEvent> &events,
                   const std::vector<MetricSample> &metrics,
                   std::ostream &out);
@@ -117,23 +89,14 @@ void renderReport(const std::vector<JournalEvent> &events,
  */
 void renderReportJson(const std::vector<JournalEvent> &events,
                       const std::vector<MetricSample> &metrics,
-                      const std::vector<LeaseEntry> &leases,
                       const ReportOptions &opts, std::ostream &out);
 
 /**
  * Chrome-trace (chrome://tracing / Perfetto "traceEvents") JSON:
  * epochs become duration ("X") slices on a virtual track and applied
  * reconfigurations become instant ("i") events, with simulated time
- * mapped to microseconds. When lease records are supplied, each
- * fabric worker additionally gets its own track (process "fabric",
- * one thread per worker) with claim-to-completion slices per cell and
- * instants for reclaims and quarantines, on the lease tick timebase.
+ * mapped to microseconds.
  */
-void writeChromeTrace(const std::vector<JournalEvent> &events,
-                      const std::vector<LeaseEntry> &leases,
-                      std::ostream &out);
-
-/** writeChromeTrace() without fabric worker tracks. */
 void writeChromeTrace(const std::vector<JournalEvent> &events,
                       std::ostream &out);
 

@@ -12,7 +12,7 @@
  * prediction is a pure function of (configuration, counters), so the
  * batched result is the hint stepEpoch() would have computed itself.
  *
- * Determinism contract (DESIGN.md section 15): per-session pipelines
+ * Determinism contract (DESIGN.md section 14): per-session pipelines
  * are fully isolated (own EpochDb, cost model, journal shard, metric
  * registry), every shared-structure access (epoch database fetches,
  * the optional epoch store, the final merge) runs serially in session

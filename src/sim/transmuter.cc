@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "obs/prof.hh"
 #include "sim/cache.hh"
 #include "sim/faults.hh"
 #include "sim/memory.hh"
@@ -246,7 +245,6 @@ struct Engine
     double
     reconfigure(const HwConfig &to, bool flush_l1, bool flush_l2)
     {
-        SADAPT_PROF_SCOPE("sim/replay/reconfigure");
         SADAPT_ASSERT(to.l1Type == cfg.l1Type,
                       "L1 memory type is a compile-time choice");
         const Hertz old_freq = freq;
@@ -422,7 +420,6 @@ struct Engine
     EpochRecord
     closeEpoch(std::uint32_t index, Cycles start, Cycles end)
     {
-        SADAPT_PROF_SCOPE("sim/replay/close_epoch");
         EpochRecord rec;
         rec.index = index;
         rec.phase = static_cast<int>(
@@ -542,7 +539,7 @@ struct Engine
      * for 100% of the replay's executed ops; auxiliary interconnect /
      * memory / prefetcher event tallies ride alongside. Pure counts of
      * simulated events — bit-identical whether or not anyone reads
-     * them, and independent of SADAPT_PROF.
+     * them.
      */
     void
     exportProfile(obs::MetricRegistry &m)
@@ -768,7 +765,6 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
 {
     SADAPT_ASSERT(trace.shape == paramsV.shape,
                   "trace shape does not match simulator shape");
-    SADAPT_PROF_SCOPE("sim/replay/run");
     Engine eng(paramsV, cfg, dvfs, trace);
     eng.metrics = metricsV;
 

@@ -344,15 +344,6 @@ EpochStore::get(std::uint64_t fingerprint, const HwConfig &cfg)
     return std::nullopt;
 }
 
-bool
-EpochStore::contains(std::uint64_t fingerprint,
-                     const HwConfig &cfg) const
-{
-    const auto it =
-        diskIndex.find(ResultKey{fingerprint, cfg.encode()});
-    return it != diskIndex.end() && it->second.complete();
-}
-
 void
 EpochStore::put(std::uint64_t fingerprint, const HwConfig &cfg,
                 const SimResult &res)
@@ -414,52 +405,6 @@ EpochStore::put(std::uint64_t fingerprint, const HwConfig &cfg,
         }
     }
     touchLru(key, res);
-}
-
-void
-EpochStore::putCell(const StoredCell &cell)
-{
-    SADAPT_ASSERT(isOpen(), "putCell() on a closed EpochStore");
-    const RecordKey &key = cell.key;
-    SADAPT_ASSERT(key.simSalt == saltV,
-                  "putCell() of a cell keyed by a foreign salt");
-    if (key.epochCount == 0 || key.epochIndex >= key.epochCount) {
-        warn(str("store: ", path(), ": putCell() epoch index ",
-                 key.epochIndex, " out of range for epoch count ",
-                 key.epochCount, "; skipping that cell"));
-        return;
-    }
-    DiskEntry &entry =
-        diskIndex[ResultKey{key.fingerprint, key.configCode}];
-    if (entry.epochCount == 0) {
-        entry.epochCount = key.epochCount;
-        entry.offsets.assign(key.epochCount, -1);
-    } else if (entry.epochCount != key.epochCount) {
-        warn(str("store: ", path(), ": putCell() of config ",
-                 key.configCode, " claims ", key.epochCount,
-                 " epochs where earlier records claim ",
-                 entry.epochCount, "; skipping that cell"));
-        return;
-    }
-    if (entry.offsets[key.epochIndex] >= 0)
-        return; // already durable
-    const std::uint64_t offset =
-        log.append(encodeStoreRecord(key, cell.epoch));
-    entry.offsets[key.epochIndex] = static_cast<std::int64_t>(offset);
-    ++entry.presentCount;
-    ++statsV.putRecords;
-    ++statsV.diskRecords;
-    if (entry.complete()) {
-        ++statsV.diskResults;
-        ++statsV.putResults;
-    }
-    if (metricsV) {
-        metricsV->counter("store/put_records").add(1);
-        metricsV->gauge("store/disk_records")
-            .set(static_cast<double>(statsV.diskRecords));
-        metricsV->gauge("store/disk_results")
-            .set(static_cast<double>(statsV.diskResults));
-    }
 }
 
 void

@@ -155,31 +155,12 @@ class EpochStore
                                  const HwConfig &cfg);
 
     /**
-     * True when every epoch cell of (fingerprint, cfg) is on disk.
-     * Pure query: unlike get() it touches neither the LRU nor the
-     * hit/miss statistics, so fabric work scheduling can consult it
-     * without perturbing the jobs=1 observable state.
-     */
-    bool contains(std::uint64_t fingerprint, const HwConfig &cfg) const;
-
-    /**
      * Store a replay result, appending only the epoch cells not
      * already on disk (so re-putting after a partial flush or a warm
      * hit is cheap and never duplicates records).
      */
     void put(std::uint64_t fingerprint, const HwConfig &cfg,
              const SimResult &res);
-
-    /**
-     * Append one already-decoded epoch cell. This is the fabric merge
-     * path: worker shards are scanned cell-by-cell and replayed into
-     * the main store in canonical request order, so the merged file is
-     * byte-identical to the one a jobs=1 run writes. The cell's salt
-     * must match the store's; a cell already on disk is skipped, so
-     * re-running a merge interrupted by a crash never duplicates
-     * records.
-     */
-    void putCell(const StoredCell &cell);
 
     /**
      * Durability checkpoint: fsync the record log (crash-safety

@@ -153,35 +153,30 @@ TEST(Determinism, CleanFixtureStaysQuiet)
 
 TEST(Determinism, AllowancesScopeLegitimateUses)
 {
-    const std::string clockCode =
-        "void tick()\n"
+    const std::string randCode =
+        "void draw(Obs &obs)\n"
         "{\n"
-        "    auto t = std::chrono::steady_clock::now();\n"
-        "    use(t);\n"
+        "    obs.emit(\"draw\", rand());\n"
         "}\n";
-    // Profiling timers and lease heartbeats carry allowances...
+    // The one home of randomness carries an allowance...
     EXPECT_TRUE(
-        checkDeterminism({{"src/obs/prof.cc", clockCode}}).clean());
-    EXPECT_TRUE(
-        checkDeterminism({{"src/fabric/lease_log.cc", clockCode}})
-            .clean());
+        checkDeterminism({{"src/common/rng.cc", randCode}}).clean());
     // ...the same code anywhere else is a finding.
     const Report r =
-        checkDeterminism({{"src/sim/engine.cc", clockCode}});
-    EXPECT_NE(findCheck(r, "lint-wallclock"), nullptr);
+        checkDeterminism({{"src/sim/engine.cc", randCode}});
+    EXPECT_NE(findCheck(r, "det-taint-random"), nullptr);
 }
 
 TEST(Determinism, AllowanceAlsoStopsTaintSeeding)
 {
-    // A clock read in an allowed file must not taint callers into
+    // A random draw in an allowed file must not taint callers into
     // findings either: the allowance covers the seed, not just the
     // lint line.
     const Report r = checkDeterminism(
-        {{"src/obs/prof.cc",
-          "double nowMs() { return std::chrono::steady_clock::now()"
-          ".time_since_epoch().count() * 1e-6; }\n"},
+        {{"src/common/rng.cc",
+          "double draw() { return rand() * 1e-6; }\n"},
          {"src/obs/metrics.cc",
-          "void snapshot(Obs &o) { o.emit(\"t\", nowMs()); }\n"}});
+          "void snapshot(Obs &o) { o.emit(\"t\", draw()); }\n"}});
     EXPECT_TRUE(r.clean());
 }
 
@@ -214,17 +209,16 @@ TEST(Determinism, SortAfterIterationIsCanonicalization)
 
 TEST(Determinism, AllowanceAnchorsAtPathComponentBoundary)
 {
-    // "obs/prof" is a component-anchored prefix: it must not silence
-    // a file whose path merely contains it as a substring.
-    const std::string clockCode =
-        "void tick()\n"
+    // "common/rng" is a component-anchored prefix: it must not
+    // silence a file whose path merely contains it as a substring.
+    const std::string randCode =
+        "void draw(Obs &obs)\n"
         "{\n"
-        "    auto t = std::chrono::steady_clock::now();\n"
-        "    use(t);\n"
+        "    obs.emit(\"draw\", rand());\n"
         "}\n";
     const Report r = checkDeterminism(
-        {{"src/myobs/profiler_x.cc", clockCode}});
-    EXPECT_NE(findCheck(r, "lint-wallclock"), nullptr);
+        {{"src/mycommon/rng_x.cc", randCode}});
+    EXPECT_NE(findCheck(r, "det-taint-random"), nullptr);
 }
 
 TEST(Determinism, UnrelatedMemberCallsAreNotSinks)

@@ -178,7 +178,7 @@ TEST(Lint, StoreRawIoScopedToStoreOnly)
     EXPECT_FALSE(hasCheck(r, "lint-store-raw-io"));
 }
 
-TEST(Lint, FabricProcessControlFlaggedOutsideFabric)
+TEST(Lint, ProcessControlFlaggedInLibrary)
 {
     const Report r = lintSource("const int pid = fork();\n"
                                 "execl(\"/bin/true\", \"true\");\n"
@@ -186,27 +186,18 @@ TEST(Lint, FabricProcessControlFlaggedOutsideFabric)
                                 "waitpid(pid, nullptr, 0);\n",
                                 "src/adapt/runner.cc");
     EXPECT_EQ(r.errorCount(), 4u);
-    EXPECT_TRUE(hasCheck(r, "lint-fabric-process"));
+    EXPECT_TRUE(hasCheck(r, "lint-process-control"));
 }
 
-TEST(Lint, FabricProcessControlAllowedInFabric)
-{
-    const Report r = lintSource("const int pid = fork();\n"
-                                "::kill(pid, 9);\n"
-                                "waitpid(pid, nullptr, 0);\n",
-                                "src/fabric/fabric.cc");
-    EXPECT_FALSE(hasCheck(r, "lint-fabric-process"));
-}
-
-TEST(Lint, FabricProcessControlExclusions)
+TEST(Lint, ProcessControlExclusions)
 {
     // Member calls, class-qualified statics and bare mentions are not
-    // process control; "notfabric" is not the fabric directory.
+    // process control.
     const Report r = lintSource("task.kill();\n"
                                 "Watchdog::kill(token);\n"
                                 "int fork = 3; fork += 1;\n",
-                                "src/notfabric/x.cc");
-    EXPECT_FALSE(hasCheck(r, "lint-fabric-process"));
+                                "src/adapt/guard.cc");
+    EXPECT_FALSE(hasCheck(r, "lint-process-control"));
 }
 
 TEST(Lint, TraceMmapFlaggedOutsideColumnarLoader)
@@ -243,13 +234,13 @@ TEST(Lint, TraceMmapExclusions)
     EXPECT_FALSE(hasCheck(r, "lint-trace-raw-mmap"));
 }
 
-TEST(Lint, FixtureFileTripsFabricRule)
+TEST(Lint, FixtureFileTripsProcessControlRule)
 {
     const Report r = lintFile(
         std::string(SADAPT_TEST_DATA_DIR) +
-            "/analysis/notfabric/lint_bad.cc",
+            "/analysis/process/lint_bad.cc",
         SADAPT_TEST_DATA_DIR);
-    EXPECT_TRUE(hasCheck(r, "lint-fabric-process"));
+    EXPECT_TRUE(hasCheck(r, "lint-process-control"));
     EXPECT_GE(r.errorCount(), 4u);
 }
 

@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "analysis/spec_check.hh"
+#include "scratch_dir.hh"
 
 using namespace sadapt;
 using namespace sadapt::analysis;
@@ -25,23 +25,21 @@ hasCheck(const Report &r, const std::string &check_id)
     return false;
 }
 
-/** RAII temp file holding `content`. */
+/** RAII temp file holding `content`, in the test's own directory. */
 class TempFile
 {
   public:
     explicit TempFile(const std::string &content)
-        : pathV(std::string(::testing::TempDir()) +
-                "sadapt_spec_test.txt")
+        : pathV(scratch.path("specs.txt"))
     {
         std::ofstream out(pathV);
         out << content;
     }
 
-    ~TempFile() { std::remove(pathV.c_str()); }
-
     const std::string &path() const { return pathV; }
 
   private:
+    test::ScratchDir scratch;
     std::string pathV;
 };
 

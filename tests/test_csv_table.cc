@@ -12,6 +12,7 @@
 
 #include "common/csv.hh"
 #include "common/table.hh"
+#include "scratch_dir.hh"
 
 using namespace sadapt;
 
@@ -30,7 +31,8 @@ slurp(const std::string &path)
 
 TEST(Csv, WritesSimpleRows)
 {
-    const std::string path = "test_out/simple.csv";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("test_out/simple.csv");
     {
         CsvWriter w(path);
         ASSERT_TRUE(w.ok());
@@ -39,30 +41,29 @@ TEST(Csv, WritesSimpleRows)
         w.endRow();
     }
     EXPECT_EQ(slurp(path), "a,b,c\n1.5,7,x\n");
-    std::filesystem::remove_all("test_out");
 }
 
 TEST(Csv, EscapesSpecialCharacters)
 {
-    const std::string path = "test_out/escape.csv";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("test_out/escape.csv");
     {
         CsvWriter w(path);
         w.row({"has,comma", "has\"quote", "plain"});
     }
     EXPECT_EQ(slurp(path), "\"has,comma\",\"has\"\"quote\",plain\n");
-    std::filesystem::remove_all("test_out");
 }
 
 TEST(Csv, CreatesParentDirectories)
 {
-    const std::string path = "test_out/deep/nested/file.csv";
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("test_out/deep/nested/file.csv");
     {
         CsvWriter w(path);
         EXPECT_TRUE(w.ok());
         w.row({"x"});
     }
     EXPECT_TRUE(std::filesystem::exists(path));
-    std::filesystem::remove_all("test_out");
 }
 
 TEST(Table, NumFormatsPrecision)

@@ -156,34 +156,6 @@ TEST(EvaluateSchedule, InitialSwitchCharged)
     EXPECT_EQ(ev.reconfigCount, 1u);
 }
 
-TEST(EvaluateSchedule, PhaseFilterPartitionsTotals)
-{
-    // SpMSpM has two phases; filtered evals must sum to the full one
-    // (minus reconfig charges, which the filter keeps).
-    Rng rng(2);
-    CsrMatrix a = makeUniformRandom(64, 500, rng);
-    WorkloadOptions wo;
-    wo.epochFpOps = 100;
-    Workload wl = makeSpMSpMWorkload("mm", a, wo);
-    EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
-    const Schedule s =
-        Schedule::uniform(baselineConfig(), db.numEpochs());
-    auto all = evaluateSchedule(db, s, cost,
-                                OptMode::EnergyEfficient,
-                                baselineConfig());
-    auto p0 = evaluateScheduleForPhase(db, s, cost,
-                                       OptMode::EnergyEfficient,
-                                       baselineConfig(), 0);
-    auto p1 = evaluateScheduleForPhase(db, s, cost,
-                                       OptMode::EnergyEfficient,
-                                       baselineConfig(), 1);
-    EXPECT_GT(p0.flops, 0.0);
-    EXPECT_GT(p1.flops, 0.0);
-    EXPECT_NEAR(p0.flops + p1.flops, all.flops, 1e-9);
-    EXPECT_NEAR(p0.seconds + p1.seconds, all.seconds, 1e-12);
-}
-
 TEST(ScheduleEval, MetricConsistency)
 {
     ScheduleEval ev;

@@ -21,8 +21,6 @@ const char *const kSampleReport = R"({
   "scale": 0.05,
   "samples": 8,
   "jobs": 1,
-  "fabric_workers": 0,
-  "fabric_leases_reclaimed": 0,
   "sweep_wall_seconds": 9.25,
   "configs_simulated": 3,
   "store_hits": 0,

@@ -173,11 +173,11 @@ TEST(Journal, MissingEnvelopeKeyRejected)
 TEST(Journal, EventTypeListIsStable)
 {
     const auto &types = journalEventTypes();
-    ASSERT_EQ(types.size(), 11u);
+    ASSERT_EQ(types.size(), 10u);
     EXPECT_EQ(types.front(), "run");
     for (const char *t : {"epoch", "prediction", "policy", "reconfig",
                           "guard", "watchdog", "fault", "store",
-                          "fabric", "session"}) {
+                          "session"}) {
         EXPECT_NE(std::find(types.begin(), types.end(), t),
                   types.end())
             << t;

@@ -158,35 +158,6 @@ sampleProfileMetrics()
             counter("profile/total_ops", 1000)};
 }
 
-/** A small fabric lease history: claims, a reclaim, a quarantine. */
-std::vector<LeaseEntry>
-sampleLeases()
-{
-    auto add = [](std::uint32_t worker, const char *op,
-                  std::uint32_t config, std::uint64_t seq,
-                  std::uint64_t tick, std::uint32_t peer = 0,
-                  bool heartbeat = false) {
-        LeaseEntry e;
-        e.worker = worker;
-        e.op = op;
-        e.config = config;
-        e.peer = peer;
-        e.seq = seq;
-        e.tickMs = tick;
-        e.heartbeat = heartbeat;
-        return e;
-    };
-    return {
-        add(1, "claim", 7, 1, 10),
-        add(2, "claim", 9, 1, 12),
-        add(1, "complete", 7, 2, 25),
-        add(2, "renew", 0xffffffffu, 2, 300, 0, true),
-        add(0, "reclaim", 9, 1, 640, 2),
-        add(1, "claim", 9, 3, 650),
-        add(1, "complete", 9, 4, 700),
-        add(0, "quarantine", 11, 2, 800),
-    };
-}
 
 std::string
 goldenPath()
@@ -280,44 +251,6 @@ TEST(Report, ProfileSectionBreaksDownCosts)
     EXPECT_TRUE(none.str().empty());
 }
 
-TEST(Report, FabricSectionRendersTimelineAndWorkers)
-{
-    std::ostringstream out;
-    ASSERT_TRUE(renderFabricSection(sampleLeases(), out));
-    const std::string text = out.str();
-    // Cell 9's history: claimed by w2, reclaimed by the coordinator
-    // (naming the expired peer), re-claimed and completed by w1.
-    EXPECT_NE(
-        text.find("cell 9: +2ms w2 claim; +630ms w0 reclaim(w2); "
-                  "+640ms w1 claim; +690ms w1 complete"),
-        std::string::npos)
-        << text;
-    EXPECT_NE(text.find("cell 7: +0ms w1 claim; +15ms w1 complete"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("+790ms w0 quarantine"), std::string::npos);
-    // The sentinel heartbeat never appears as a cell.
-    EXPECT_EQ(text.find("4294967295"), std::string::npos);
-    // Worker roll-up: w1 was busy (25-10) + (700-650) = 65ms over a
-    // 10..700 span.
-    EXPECT_NE(text.find("== fabric workers =="), std::string::npos);
-    std::istringstream lines(text);
-    std::string line;
-    bool found_w1 = false;
-    while (std::getline(lines, line)) {
-        if (line.rfind("w1", 0) != 0)
-            continue;
-        found_w1 = true;
-        EXPECT_NE(line.find("65"), std::string::npos) << line;
-        EXPECT_NE(line.find("690"), std::string::npos) << line;
-    }
-    EXPECT_TRUE(found_w1) << text;
-
-    std::ostringstream none;
-    EXPECT_FALSE(renderFabricSection({}, none));
-    EXPECT_TRUE(none.str().empty());
-}
-
 TEST(Report, GoldenReportJson)
 {
     std::vector<MetricSample> metrics = sampleMetrics();
@@ -326,8 +259,7 @@ TEST(Report, GoldenReportJson)
     ReportOptions opts;
     opts.profile = true;
     std::ostringstream out;
-    renderReportJson(sampleEvents(), metrics, sampleLeases(), opts,
-                     out);
+    renderReportJson(sampleEvents(), metrics, opts, out);
     const std::string got = out.str();
 
     if (std::getenv("SADAPT_UPDATE_GOLDEN") != nullptr) {
@@ -347,44 +279,19 @@ TEST(Report, GoldenReportJson)
 
     // Byte-stability: rendering the same inputs twice is identical.
     std::ostringstream again;
-    renderReportJson(sampleEvents(), metrics, sampleLeases(), opts,
-                     again);
+    renderReportJson(sampleEvents(), metrics, opts, again);
     EXPECT_EQ(got, again.str());
 }
 
 TEST(Report, JsonRendersEmptyInputs)
 {
     std::ostringstream out;
-    renderReportJson({}, {}, {}, ReportOptions{}, out);
+    renderReportJson({}, {}, ReportOptions{}, out);
     const std::string text = out.str();
     EXPECT_NE(text.find("\"version\": 1"), std::string::npos);
     EXPECT_NE(text.find("\"run\": null"), std::string::npos);
-    EXPECT_NE(text.find("\"fabric\": null"), std::string::npos);
     EXPECT_NE(text.find("\"profile\": null"), std::string::npos);
     EXPECT_EQ(text.back(), '\n');
-}
-
-TEST(Report, ChromeTraceHasFabricWorkerTracks)
-{
-    std::ostringstream out;
-    writeChromeTrace(sampleEvents(), sampleLeases(), out);
-    const std::string text = out.str();
-    auto count = [&](const std::string &needle) {
-        std::size_t n = 0;
-        for (std::size_t pos = text.find(needle);
-             pos != std::string::npos;
-             pos = text.find(needle, pos + 1))
-            ++n;
-        return n;
-    };
-    // Process meta + three worker thread metas (w0, w1, w2).
-    EXPECT_NE(text.find("\"name\":\"fabric\""), std::string::npos);
-    EXPECT_EQ(count("\"name\":\"worker "), 3u) << text;
-    // Two completed claims -> two lease slices; reclaim + quarantine
-    // -> two lease instants.
-    EXPECT_EQ(count("\"cat\":\"lease\",\"ph\":\"X\""), 2u) << text;
-    EXPECT_EQ(count("\"cat\":\"lease\",\"ph\":\"i\""), 2u) << text;
-    EXPECT_EQ(count("{"), count("}"));
 }
 
 TEST(Report, ChromeTraceHasSlicesAndInstants)

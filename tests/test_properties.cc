@@ -204,6 +204,14 @@ struct GenCase
     std::uint64_t nnz;
 };
 
+// Names each case by its fields; the default byte dump would include
+// the uninitialised padding after `dim` and vary from run to run.
+void
+PrintTo(const GenCase &c, std::ostream *os)
+{
+    *os << "dim" << c.dim << "_nnz" << c.nnz;
+}
+
 class GeneratorSweepProperty : public testing::TestWithParam<GenCase>
 {
 };

@@ -342,7 +342,7 @@ TEST(Serve, SharedStoreCompactsToIdenticalBytes)
  * Kill-mid-session drill: SIGKILL a replay partway through, then
  * finish the job warm on whatever the store kept. The final merged
  * journal/metrics and the compacted store must be byte-identical to
- * an uninterrupted cold run. (Tests may fork; lint-fabric-process
+ * an uninterrupted cold run. (Tests may fork; lint-process-control
  * scopes src/ only.)
  */
 TEST(ServeCrash, Kill9MidReplayThenWarmRerunMatchesCold)

@@ -27,6 +27,7 @@
 #include "store/epoch_store.hh"
 #include "store/fingerprint.hh"
 #include "store/record_log.hh"
+#include "scratch_dir.hh"
 
 using namespace sadapt;
 
@@ -540,7 +541,7 @@ TEST(EpochStoreCrash, FlushedResultsSurviveAnImmediateReader)
  * serve every result bit-exactly: compact() builds the replacement in
  * a scratch file and installs it with an atomic rename, so readers
  * only ever see the old file or the new file, both fully intact.
- * (Tests may fork; lint-fabric-process scopes src/ only.)
+ * (Tests may fork; lint-process-control scopes src/ only.)
  */
 TEST(EpochStoreCrash, Kill9MidCompactLosesNothing)
 {
@@ -600,4 +601,109 @@ TEST(EpochStoreCrash, Kill9MidCompactLosesNothing)
         st.close();
         fs::remove(path + ".compact"); // scratch a kill may leave
     }
+}
+
+/**
+ * The one crash-resume path of a sweep: a jobs=4 EpochDb sweep in
+ * ensure() batches, with the store flushed at every batch boundary
+ * (what the benches' prefetchConfigs does). A forked child runs the
+ * sweep and reports its first flush over a pipe; the parent SIGKILLs
+ * it right away, so the kill lands while the child replays or commits
+ * a later batch, or once it has finished. Rerunning the same sweep
+ * against the same store must serve every flushed config from disk,
+ * simulate only the rest, and end bit-identical to an uninterrupted
+ * jobs=1 run: same results, same compacted store bytes.
+ * (Tests may fork; lint-process-control scopes src/ only.)
+ */
+TEST(EpochStoreCrash, Kill9MidSweepRerunSimulatesOnlyUnflushed)
+{
+    const test::ScratchDir scratch;
+    const Workload wl = smallWorkload();
+    Rng rng(23);
+    const std::vector<HwConfig> cfgs =
+        ConfigSpace(wl.l1Type).sample(14, rng);
+    const std::vector<std::vector<HwConfig>> batches = {
+        {cfgs.begin(), cfgs.begin() + 2},
+        {cfgs.begin() + 2, cfgs.begin() + 8},
+        {cfgs.begin() + 8, cfgs.end()}};
+
+    // One sweep, flushing the store at every batch boundary; returns
+    // the store misses (= configs simulated) of each batch.
+    auto sweep = [&](EpochDb &db, store::EpochStore &st) {
+        std::vector<std::uint64_t> misses;
+        for (const std::vector<HwConfig> &batch : batches) {
+            const std::uint64_t before = st.stats().misses;
+            db.ensure(batch);
+            st.flush();
+            misses.push_back(st.stats().misses - before);
+        }
+        return misses;
+    };
+
+    // Reference: uninterrupted, serial, compacted.
+    const std::string ref_path = scratch.path("ref.store");
+    EpochDb ref(wl);
+    {
+        store::EpochStore st;
+        ASSERT_TRUE(st.open(ref_path, testOptions()).isOk());
+        ref.attachStore(&st);
+        sweep(ref, st);
+        ref.attachStore(nullptr);
+        ASSERT_TRUE(st.compact().isOk());
+    }
+    const std::string ref_bytes = fileBytes(ref_path);
+
+    const std::string path = scratch.path("killed.store");
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    std::fflush(nullptr); // no duplicated stdio buffers in the child
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // Child: the parallel sweep. _Exit codes mark setup errors;
+        // SIGKILL is the expected way out.
+        ::close(ready[0]);
+        store::EpochStore st;
+        if (!st.open(path, testOptions()).isOk())
+            std::_Exit(2);
+        EpochDb db(wl);
+        db.setJobs(4);
+        db.attachStore(&st);
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            db.ensure(batches[b]);
+            st.flush();
+            const char flushed = 1;
+            if (b == 0 && ::write(ready[1], &flushed, 1) != 1)
+                std::_Exit(3);
+        }
+        for (;;)
+            ::pause(); // finished before the kill landed
+    }
+    ::close(ready[1]);
+    char flushed = 0;
+    const ssize_t got = ::read(ready[0], &flushed, 1);
+    ::close(ready[0]);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int wstatus = 0;
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    ASSERT_EQ(got, 1) << "child died before its first flush";
+    ASSERT_TRUE(WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL)
+        << "child exited with " << WEXITSTATUS(wstatus);
+
+    // Rerun the sweep to completion on whatever the store kept.
+    store::EpochStore st;
+    ASSERT_TRUE(st.open(path, testOptions()).isOk());
+    EXPECT_EQ(st.stats().corruptRecords, 0u);
+    EpochDb db(wl);
+    db.setJobs(4);
+    db.attachStore(&st);
+    const std::vector<std::uint64_t> misses = sweep(db, st);
+    // The first batch was flushed before the kill: nothing in it is
+    // simulated again.
+    EXPECT_EQ(misses[0], 0u);
+
+    for (const HwConfig &cfg : cfgs)
+        expectResultsEqual(db.result(cfg), ref.result(cfg));
+    ASSERT_TRUE(st.compact().isOk());
+    EXPECT_EQ(fileBytes(path), ref_bytes);
 }

@@ -6,7 +6,8 @@
 #   tools/run_checks.sh [build-dir] [tsan-build-dir]
 #
 # Exits nonzero on the first failing stage. The final stage rebuilds
-# the threading-labeled suite under ThreadSanitizer in its own tree.
+# the threading- and store-labeled suites under ThreadSanitizer in its
+# own tree.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -19,7 +20,7 @@ cmake -B "$build_dir" -S "$repo_root" \
 echo "== build (ASan+UBSan)"
 cmake --build "$build_dir" -j > /dev/null
 
-echo "== sadapt_check: sources (lint + determinism), models, traces, specs, journals, stores, leases"
+echo "== sadapt_check: sources (lint + determinism), models, traces, specs, journals, stores"
 "$build_dir/tools/sadapt_check" all \
     --root "$repo_root" \
     --src "$repo_root/src" \
@@ -28,7 +29,6 @@ echo "== sadapt_check: sources (lint + determinism), models, traces, specs, jour
     --specs "$repo_root/tests/data/analysis/good_specs.txt" \
     --journal "$repo_root/tests/data/analysis/good.journal" \
     --store "$repo_root/tests/data/analysis/good.store" \
-    --lease "$repo_root/tests/data/analysis/good.lease" \
     --baseline "$repo_root/tools/sadapt_check.baseline"
 
 # The analysis suite (including the determinism analyzer's own
@@ -38,18 +38,11 @@ ctest --test-dir "$build_dir" -L 'analysis|obs' --output-on-failure \
     -j "$(nproc)"
 
 # Persistent-store gate: the record-log crash-recovery, EpochStore
-# cache-contract and warm-start determinism suite, under the same
-# sanitized build.
+# cache-contract and warm-start determinism suite, plus the
+# kill-and-rerun drill of a parallel sweep, under the same sanitized
+# build.
 echo "== ctest -L store"
 ctest --test-dir "$build_dir" -L store --output-on-failure \
-    -j "$(nproc)"
-
-# Sweep-fabric gate: the lease/merge/drill unit suite plus the CLI
-# crash drills — 20 kill -9 trials and 10 torn-write trials must lose
-# no completed cell and merge byte-identical to a jobs=1 sweep, under
-# the same sanitized build.
-echo "== ctest -L fabric"
-ctest --test-dir "$build_dir" -L fabric --output-on-failure \
     -j "$(nproc)"
 
 # Serving gate: the multi-tenant control server's contract — merged
@@ -67,35 +60,19 @@ echo "== ctest -L threading (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L threading --output-on-failure \
     -j "$(nproc)"
 
-echo "== sadapt_fabric crash drills (kill9, torn-write)"
-"$build_dir/tools/sadapt_fabric" --drill kill9 \
-    --dir "$build_dir/fabric-drill-kill9.d"
-"$build_dir/tools/sadapt_fabric" --drill torn-write --trials 10 \
-    --dir "$build_dir/fabric-drill-torn.d"
-
-# Profiler-build gate: the wall-clock sampling profiler behind
-# SADAPT_PROF is compiled out of default builds, so a dedicated tree
-# makes sure the gated code keeps building warning-free and that the
-# obs suite (deterministic counters, shard-merge determinism, report
-# rendering) still passes with sampling compiled in.
-prof_dir="${SADAPT_PROF_BUILD_DIR:-$repo_root/build-prof}"
-echo "== configure ($prof_dir: SADAPT_PROF=ON SADAPT_WERROR=ON)"
-cmake -B "$prof_dir" -S "$repo_root" \
-    -DSADAPT_PROF=ON -DSADAPT_WERROR=ON > /dev/null
-
-echo "== build sadapt_obs_tests + bench_trend (SADAPT_PROF)"
-cmake --build "$prof_dir" -j --target sadapt_obs_tests bench_trend \
-    > /dev/null
-
-echo "== ctest -L obs (SADAPT_PROF)"
-ctest --test-dir "$prof_dir" -L obs --output-on-failure \
-    -j "$(nproc)"
+# Repeat gate: the whole suite, five times over, as parallel as the
+# host allows. Every case must own its scratch files, so a shared
+# path or an order dependence between cases shows up here as a
+# failure instead of as a rare flake on the default ctest -j path.
+echo "== ctest --repeat until-fail:5 (ASan+UBSan)"
+ctest --test-dir "$build_dir" -j"$(nproc)" --repeat until-fail:5 \
+    --output-on-failure
 
 # Perf-regression gate (opt-in: SADAPT_BENCH_TREND=1). Re-measures
 # the replay hot path at the committed baseline's pinned scale knobs
 # (best-of-3 runs) and gates it against bench/baselines with
-# bench_trend. Sanitizers and SADAPT_PROF sampling both skew timing,
-# so the measurement gets its own plain-flags tree. The
+# bench_trend. Sanitizers skew timing, so the measurement gets its own
+# plain-flags tree. The
 # byte-deterministic parts of the gate (baseline self-check,
 # slowed-fixture rejection) always run via the obs-labeled ctest
 # stages above.
@@ -131,18 +108,20 @@ if [[ "${SADAPT_BENCH_TREND:-0}" != "0" ]]; then
 fi
 
 # ThreadSanitizer gate for the parallel sweep engine: TSan excludes
-# ASan, so it gets its own build tree, and only the threading-labeled
-# suite (thread pool units + jobs=N determinism) needs rebuilding.
+# ASan, so it gets its own build tree, and only the threading- and
+# store-labeled suites (thread pool units, jobs=N determinism and the
+# kill-and-rerun drill of a jobs=4 sweep) need rebuilding.
 tsan_dir="${2:-$repo_root/build-tsan}"
 echo "== configure ($tsan_dir: SADAPT_SANITIZE=thread SADAPT_WERROR=ON)"
 cmake -B "$tsan_dir" -S "$repo_root" \
     -DSADAPT_SANITIZE=thread -DSADAPT_WERROR=ON > /dev/null
 
-echo "== build sadapt_parallel_tests (TSan)"
-cmake --build "$tsan_dir" -j --target sadapt_parallel_tests > /dev/null
+echo "== build sadapt_parallel_tests + sadapt_store_tests (TSan)"
+cmake --build "$tsan_dir" -j \
+    --target sadapt_parallel_tests sadapt_store_tests > /dev/null
 
-echo "== ctest -L threading (TSan)"
-ctest --test-dir "$tsan_dir" -L threading --output-on-failure \
+echo "== ctest -L threading|store (TSan)"
+ctest --test-dir "$tsan_dir" -L 'threading|store' --output-on-failure \
     -j "$(nproc)"
 
 echo "== all checks passed"

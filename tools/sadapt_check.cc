@@ -27,7 +27,6 @@
 #include "analysis/determinism_check.hh"
 #include "analysis/finding.hh"
 #include "analysis/journal_check.hh"
-#include "analysis/lease_check.hh"
 #include "analysis/lint.hh"
 #include "analysis/model_check.hh"
 #include "analysis/spec_check.hh"
@@ -52,7 +51,6 @@ usage()
         "  specs <file>...    validate config/fault spec-list files\n"
         "  journal <file>...  validate observability event journals\n"
         "  store <file>...    validate persistent epoch-store files\n"
-        "  lease <file>...    validate fabric lease-log files\n"
         "  config-space       self-check the config space encoding\n"
         "  lint <path>...     lint .cc/.hh files or directories\n"
         "  determinism <dir>...\n"
@@ -73,9 +71,7 @@ usage()
         "repeatable\n"
         "  --store <file>     (all) validate this store; "
         "repeatable\n"
-        "  --lease <file>     (all) validate this lease log; "
-        "repeatable\n"
-        "  --salt <n>         (store/lease) expected simulator\n"
+        "  --salt <n>         (store) expected simulator\n"
         "                     salt; 0\n"
         "                     (default) skips salt checks\n");
     std::exit(2);
@@ -93,7 +89,6 @@ struct Options
     std::vector<std::string> specs;
     std::vector<std::string> journals;
     std::vector<std::string> stores;
-    std::vector<std::string> leases;
     std::uint64_t salt = 0;
     bool json = false;
 };
@@ -128,8 +123,6 @@ parseArgs(int argc, char **argv)
             o.journals.push_back(need(i));
         else if (arg == "--store")
             o.stores.push_back(need(i));
-        else if (arg == "--lease")
-            o.leases.push_back(need(i));
         else if (arg == "--salt")
             o.salt = std::strtoull(need(i), nullptr, 0);
         else if (arg == "--format=json" || arg == "--json")
@@ -189,11 +182,6 @@ main(int argc, char **argv)
             usage();
         for (const auto &f : o.args)
             report.merge(checkStoreFile(f, o.salt));
-    } else if (o.subcommand == "lease") {
-        if (o.args.empty())
-            usage();
-        for (const auto &f : o.args)
-            report.merge(checkLeaseFile(f, o.salt));
     } else if (o.subcommand == "config-space") {
         report.merge(checkConfigSpaceInvariants());
     } else if (o.subcommand == "lint") {
@@ -219,8 +207,6 @@ main(int argc, char **argv)
             report.merge(checkJournalFile(f));
         for (const auto &f : o.stores)
             report.merge(checkStoreFile(f, o.salt));
-        for (const auto &f : o.leases)
-            report.merge(checkLeaseFile(f, o.salt));
     } else {
         usage();
     }

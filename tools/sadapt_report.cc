@@ -3,14 +3,12 @@
  * sadapt-report: render observability artifacts produced by a
  * sparseadapt_cli / bench run into the per-epoch decision timeline,
  * the reconfiguration summary, epoch-store cache statistics (when the
- * run used --store), fabric lease timelines (when pointed at a sweep
- * fabric directory), the replay-profile cost breakdown, metric
+ * run used --store), the replay-profile cost breakdown, metric
  * roll-ups and an optional Chrome-trace (Perfetto) JSON export.
  *
  *   sadapt_report --journal run.jsonl
  *   sadapt_report --metrics run.metrics --profile
- *   sadapt_report --journal run.jsonl --fabric-dir sweep.fabric.d \
- *                 --trace-out run.trace.json
+ *   sadapt_report --journal run.jsonl --trace-out run.trace.json
  *   sadapt_report --journal run.jsonl --metrics run.metrics \
  *                 --format=json
  *
@@ -18,10 +16,8 @@
  * usage errors.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,8 +26,6 @@
 #include "obs/journal.hh"
 #include "obs/metrics.hh"
 #include "obs/report.hh"
-#include "store/lease_record.hh"
-#include "store/record_log.hh"
 
 using namespace sadapt;
 
@@ -41,7 +35,6 @@ struct Options
 {
     std::string journalFile;
     std::string metricsFile;
-    std::string fabricDir;
     std::string traceOutFile;
     bool profile = false;
     bool json = false;
@@ -57,9 +50,6 @@ usage(const char *argv0)
         "run\n"
         "  --metrics <file>         metrics snapshot from a --metrics "
         "run\n"
-        "  --fabric-dir <dir>       sweep-fabric directory: render "
-        "lease\n                           timelines and per-worker "
-        "roll-ups\n"
         "  --profile                render the replay-profile cost "
         "breakdown\n"
         "  --format=json            machine-readable report on "
@@ -67,8 +57,8 @@ usage(const char *argv0)
         "  --trace-out <file.json>  also write a Chrome-trace "
         "(Perfetto) export\n"
         "\n"
-        "At least one of --journal/--metrics/--fabric-dir is "
-        "required;\n--trace-out needs --journal or --fabric-dir.\n",
+        "At least one of --journal/--metrics is required;\n"
+        "--trace-out needs --journal.\n",
         argv0);
     std::exit(2);
 }
@@ -88,8 +78,6 @@ parse(int argc, char **argv)
             o.journalFile = need(i);
         else if (arg == "--metrics")
             o.metricsFile = need(i);
-        else if (arg == "--fabric-dir")
-            o.fabricDir = need(i);
         else if (arg == "--profile")
             o.profile = true;
         else if (arg == "--format=json" || arg == "--json")
@@ -99,62 +87,11 @@ parse(int argc, char **argv)
         else
             usage(argv[0]);
     }
-    if (o.journalFile.empty() && o.metricsFile.empty() &&
-        o.fabricDir.empty())
+    if (o.journalFile.empty() && o.metricsFile.empty())
         usage(argv[0]);
-    if (!o.traceOutFile.empty() && o.journalFile.empty() &&
-        o.fabricDir.empty())
+    if (!o.traceOutFile.empty() && o.journalFile.empty())
         usage(argv[0]);
     return o;
-}
-
-/**
- * Decode every lease record in the fabric directory's `w*.lease`
- * files (sorted by name; read-only scan, same torn-tail tolerance as
- * the validator). Undecodable or foreign payloads are skipped — the
- * report renders whatever survives, `sadapt_check lease` is the
- * strict gate.
- */
-std::vector<obs::LeaseEntry>
-scanLeaseEntries(const std::string &dir)
-{
-    namespace fs = std::filesystem;
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (fs::directory_iterator it(dir, ec), end; it != end && !ec;
-         it.increment(ec)) {
-        if (it->is_regular_file() &&
-            it->path().extension() == ".lease")
-            files.push_back(it->path().string());
-    }
-    std::sort(files.begin(), files.end());
-
-    std::vector<obs::LeaseEntry> out;
-    for (const std::string &path : files) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            continue;
-        const store::ScanResult scan = store::scanRecordStream(in);
-        if (!scan.headerOk)
-            continue;
-        for (const store::ScanRecord &rec : scan.records) {
-            const Result<store::LeaseRecord> decoded =
-                store::decodeLeaseRecord(rec.payload);
-            if (!decoded.isOk())
-                continue;
-            const store::LeaseRecord &r = decoded.value();
-            obs::LeaseEntry e;
-            e.worker = r.workerId;
-            e.op = store::leaseOpName(r.op);
-            e.config = r.configCode;
-            e.peer = r.peer;
-            e.seq = r.seq;
-            e.tickMs = r.tickMs;
-            e.heartbeat = r.configCode == store::leaseHeartbeatConfig;
-            out.push_back(std::move(e));
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -195,24 +132,12 @@ main(int argc, char **argv)
         metrics = read.value();
     }
 
-    std::vector<obs::LeaseEntry> leases;
-    if (!o.fabricDir.empty()) {
-        leases = scanLeaseEntries(o.fabricDir);
-        if (leases.empty()) {
-            std::fprintf(stderr,
-                         "sadapt_report: warning: no lease records "
-                         "under %s\n",
-                         o.fabricDir.c_str());
-        }
-    }
-
     obs::ReportOptions ropts;
     ropts.profile = o.profile;
     if (o.json)
-        obs::renderReportJson(events, metrics, leases, ropts,
-                              std::cout);
+        obs::renderReportJson(events, metrics, ropts, std::cout);
     else
-        obs::renderReport(events, metrics, leases, ropts, std::cout);
+        obs::renderReport(events, metrics, ropts, std::cout);
 
     if (!o.traceOutFile.empty()) {
         std::ofstream out(o.traceOutFile);
@@ -222,7 +147,7 @@ main(int argc, char **argv)
                          o.traceOutFile.c_str());
             return 1;
         }
-        obs::writeChromeTrace(events, leases, out);
+        obs::writeChromeTrace(events, out);
         if (!o.json)
             std::printf("\nchrome trace: %s (load in ui.perfetto.dev "
                         "or chrome://tracing)\n",

@@ -10,7 +10,7 @@
  *   sadapt_serve selfcheck --script traffic.txt --sessions 4 --jobs 2
  *
  * replay writes the merged journal/metrics artifacts, which are
- * byte-identical for any --sessions/--jobs (DESIGN.md section 15);
+ * byte-identical for any --sessions/--jobs (DESIGN.md section 14);
  * selfcheck proves it on the spot by comparing a concurrent replay
  * against the fully serial one and exits non-zero on any mismatch.
  * Without --model, a small deterministic built-in model is trained
@@ -278,7 +278,7 @@ runReplay(const CliOptions &o)
     if (storePtr != nullptr) {
         epochStore.flush();
         // Canonical sorted form: byte-identical across any admission
-        // schedule / --sessions / --jobs (DESIGN.md section 15).
+        // schedule / --sessions / --jobs (DESIGN.md section 14).
         const Status st = epochStore.compact();
         if (!st.isOk())
             fatal("--store: " + st.message());
