@@ -11,8 +11,7 @@
 namespace sadapt {
 
 EpochDb::EpochDb(const Workload &workload)
-    : wl(workload), soa(ColumnarTrace::fromTrace(workload.trace)),
-      sim(workload.params)
+    : wl(workload), sim(workload.params)
 {
 }
 
@@ -52,10 +51,18 @@ EpochDb::attachStore(store::EpochStore *epoch_store)
         : 0;
 }
 
+TraceView
+EpochDb::replayView()
+{
+    if (!soa.has_value())
+        soa = ColumnarTrace::fromTrace(wl.trace);
+    return soa->view();
+}
+
 const SimResult &
 EpochDb::simulateAndCommit(std::uint64_t key, const HwConfig &cfg)
 {
-    SimResult res = sim.run(soa.view(), cfg);
+    SimResult res = sim.run(replayView(), cfg);
     if (storeV != nullptr)
         storeV->put(fingerprintV, cfg, res);
     return commit(key, std::move(res));
@@ -123,9 +130,11 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
     }
 
     // Replay the true misses concurrently: tasks share only the
-    // immutable trace; each gets its own Transmuter and (when metrics
-    // are attached) its own registry shard. Nothing shared is written
+    // immutable columnar view (converted here, before any worker
+    // starts); each gets its own Transmuter and (when metrics are
+    // attached) its own registry shard. Nothing shared is written
     // until the barrier.
+    const TraceView view = replayView();
     std::vector<std::size_t> missing;
     missing.reserve(toSimulate);
     for (std::size_t i = 0; i < pending.size(); ++i)
@@ -138,7 +147,7 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
         Transmuter task_sim(wl.params);
         if (metricsV != nullptr)
             task_sim.setMetrics(&shards[i]);
-        results[i] = task_sim.run(soa.view(), pending[missing[i]].cfg);
+        results[i] = task_sim.run(view, pending[missing[i]].cfg);
     });
 
     // Barrier passed: commit store hits and fresh replays interleaved

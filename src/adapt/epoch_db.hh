@@ -21,6 +21,7 @@
 #ifndef SADAPT_ADAPT_EPOCH_DB_HH
 #define SADAPT_ADAPT_EPOCH_DB_HH
 
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -122,13 +123,14 @@ class EpochDb
   private:
     const Workload &wl;
     /**
-     * The workload trace converted once to the columnar SoA layout;
-     * every replay (serial or parallel) runs from this shared
-     * immutable view, keeping the per-configuration conversion cost
-     * out of the sweep inner loop. Results are bit-identical to
-     * replaying the AoS trace directly.
+     * The workload trace in the columnar SoA layout, built on the
+     * first replay (replayView()); every replay (serial or parallel)
+     * runs from this shared immutable view, keeping the
+     * per-configuration conversion cost out of the sweep inner loop,
+     * and a database served entirely from the store never converts.
+     * Results are bit-identical to replaying the AoS trace directly.
      */
-    ColumnarTrace soa;
+    std::optional<ColumnarTrace> soa;
     Transmuter sim;
     unsigned jobsV = 1;
     obs::MetricRegistry *metricsV = nullptr;
@@ -137,6 +139,13 @@ class EpochDb
     std::unordered_map<std::uint64_t, SimResult> cache;
 
     const SimResult &commit(std::uint64_t key, SimResult res);
+
+    /**
+     * The columnar view every replay runs from, converting the trace
+     * on first use. Not thread-safe: parallel replays take the view
+     * before they start.
+     */
+    TraceView replayView();
 
     /** Replay cfg on the member simulator, checkpoint it, commit it. */
     const SimResult &simulateAndCommit(std::uint64_t key,

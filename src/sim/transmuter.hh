@@ -127,7 +127,9 @@ class Transmuter
      * converts first (one pass over the ops) and is bit-identical to
      * replaying the equivalent TraceView. Sweeps that replay the same
      * trace many times should convert once (ColumnarTrace::fromTrace
-     * or a columnar file) and pass the view.
+     * or a columnar file) and pass the view. Convert at the first
+     * replay, not up front, as EpochDb does: a sweep served from the
+     * epoch store then never converts.
      *
      * @param trace functional trace (shape must match RunParams).
      * @param cfg the hardware configuration to model.

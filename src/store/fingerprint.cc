@@ -12,27 +12,87 @@ Fnv1a::f64(double v)
 
 namespace {
 
-void
-hashStream(Fnv1a &h, const std::vector<TraceOp> &stream)
+// xxHash64's primes; the lane round below is its accumulator round.
+constexpr std::uint64_t laneP1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t laneP2 = 0xc2b2ae3d27d4eb4full;
+
+constexpr std::uint64_t
+laneRound(std::uint64_t acc, std::uint64_t v)
 {
-    h.u64(stream.size());
-    for (const TraceOp &op : stream) {
-        h.u64(op.addr);
-        h.u64(op.pc);
-        h.u64(static_cast<std::uint64_t>(op.kind));
-    }
+    return std::rotl(acc + v * laneP2, 31) * laneP1;
 }
 
-/** Columnar twin of hashStream(): same fields, same fold order. */
-void
-hashStream(Fnv1a &h, const StreamView &stream)
+/** The two words one op folds into its lane. */
+struct OpWords
 {
-    h.u64(stream.size);
-    for (std::size_t i = 0; i < stream.size; ++i) {
-        h.u64(stream.addr[i]);
-        h.u64(stream.pc[i]);
-        h.u64(stream.kind[i]);
+    std::uint64_t addr;
+    std::uint64_t site; //!< pc | kind << 16
+};
+
+/** Per-op access for both stream forms: op count and op words. */
+std::size_t
+opCount(const std::vector<TraceOp> &s)
+{
+    return s.size();
+}
+
+OpWords
+opWords(const std::vector<TraceOp> &s, std::size_t i)
+{
+    return {s[i].addr,
+            s[i].pc | static_cast<std::uint64_t>(s[i].kind) << 16};
+}
+
+std::size_t
+opCount(const StreamView &s)
+{
+    return s.size;
+}
+
+OpWords
+opWords(const StreamView &s, std::size_t i)
+{
+    return {s.addr[i], s.pc[i] | std::uint64_t{s.kind[i]} << 16};
+}
+
+/**
+ * Hash one core stream (an AoS vector or a column view, which fold
+ * identically): op i goes to lane i mod 4, so the four lanes are
+ * independent multiply chains (kept in registers, hence no array);
+ * the op count and then the four lane states are folded into `h` at
+ * stream end.
+ */
+template <typename Stream>
+void
+hashStream(Fnv1a &h, const Stream &stream)
+{
+    const std::size_t n = opCount(stream);
+    std::uint64_t lane0 = laneP1 + laneP2;
+    std::uint64_t lane1 = laneP2;
+    std::uint64_t lane2 = 0;
+    std::uint64_t lane3 = 0 - laneP1;
+    auto fold = [&stream](std::uint64_t &acc, std::size_t i) {
+        const OpWords w = opWords(stream, i);
+        acc = laneRound(laneRound(acc, w.addr), w.site);
+    };
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        fold(lane0, i);
+        fold(lane1, i + 1);
+        fold(lane2, i + 2);
+        fold(lane3, i + 3);
     }
+    if (i < n)
+        fold(lane0, i++);
+    if (i < n)
+        fold(lane1, i++);
+    if (i < n)
+        fold(lane2, i++);
+    h.u64(n);
+    h.u64(lane0);
+    h.u64(lane1);
+    h.u64(lane2);
+    h.u64(lane3);
 }
 
 void
@@ -55,8 +115,9 @@ hashEnergyParams(Fnv1a &h, const EnergyParams &e)
 /**
  * Shared fingerprint body: both trace representations expose shape(),
  * per-core streams and phase names, and hashStream() folds an AoS
- * stream and a column-view stream identically, so one template keeps
- * the two public overloads colliding exactly on equal content.
+ * stream and a column-view stream into the same words and lanes, so
+ * one template keeps the two public overloads colliding exactly on
+ * equal content.
  */
 template <typename TraceLike, typename Phases>
 std::uint64_t

@@ -9,7 +9,11 @@
  *    (every op of every GPE/LCP stream, phase names) together with the
  *    system parameters the replay runs under (shape, bandwidth, epoch
  *    FP-op length, every energy-model constant) and the compile-time
- *    L1 memory type. Two workloads collide only if their replays are
+ *    L1 memory type. The ops of a stream go through a word-wide 4-lane
+ *    hash (op i into lane i mod 4, an xxHash64-style round per word)
+ *    whose op count and lane states close the stream in the outer
+ *    FNV-1a; everything else is folded into the FNV-1a directly. Two
+ *    workloads collide only if their replays are
  *    identical by construction. Fault injection never flows through
  *    EpochDb replays (the live runSchedule path does not memoize), so
  *    it is deliberately not part of the fingerprint;
@@ -80,10 +84,11 @@ std::uint64_t workloadFingerprint(const Trace &trace,
 
 /**
  * Same fingerprint computed from the columnar SoA view. Folds the
- * identical byte sequence in the identical order as the Trace
- * overload, so a trace hashes to the same key regardless of which
- * format it was loaded from — content-identical workloads hit the
- * same store cells either way.
+ * identical word sequence into the identical lanes, and the lanes
+ * into the outer hash in the identical order, as the Trace overload,
+ * so a trace hashes to the same key regardless of which format it was
+ * loaded from — content-identical workloads hit the same store cells
+ * either way.
  */
 std::uint64_t workloadFingerprint(const TraceView &trace,
                                   const RunParams &params,

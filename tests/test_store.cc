@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -22,6 +23,7 @@
 
 #include "adapt/epoch_db.hh"
 #include "common/rng.hh"
+#include "sim/trace_columnar.hh"
 #include "sparse/generators.hh"
 #include "store/crc32.hh"
 #include "store/epoch_store.hh"
@@ -109,6 +111,44 @@ expectResultsEqual(const SimResult &a, const SimResult &b)
     }
     EXPECT_EQ(a.totalSeconds(), b.totalSeconds());
     EXPECT_EQ(a.totalEnergy(), b.totalEnergy());
+}
+
+/** Distinct op fields per index, so a swap or a move changes words. */
+TraceOp
+laneOp(std::uint32_t i)
+{
+    return TraceOp{0x1000 + 64 * Addr{i},
+                   static_cast<std::uint16_t>(3 + i),
+                   i % 2 == 0 ? OpKind::Load : OpKind::FpOp};
+}
+
+/** A one-tile, two-GPE trace with the given GPE streams. */
+Trace
+laneTrace(const std::vector<TraceOp> &gpe0,
+          const std::vector<TraceOp> &gpe1 = {})
+{
+    Trace t(SystemShape{1, 2});
+    for (const TraceOp &op : gpe0)
+        t.pushGpe(0, op);
+    for (const TraceOp &op : gpe1)
+        t.pushGpe(1, op);
+    t.pushLcp(0, laneOp(99));
+    return t;
+}
+
+std::vector<TraceOp>
+laneOps(std::uint32_t n)
+{
+    std::vector<TraceOp> ops;
+    for (std::uint32_t i = 0; i < n; ++i)
+        ops.push_back(laneOp(i));
+    return ops;
+}
+
+std::uint64_t
+laneKey(const Trace &t)
+{
+    return store::workloadFingerprint(t, RunParams{}, MemType::Cache);
 }
 
 } // namespace
@@ -257,6 +297,82 @@ TEST(Fingerprint, SensitiveToWorkloadAndParams)
     p.memBandwidth *= 2.0;
     EXPECT_NE(store::workloadFingerprint(wl.trace, p, wl.l1Type),
               base);
+}
+
+/*
+ * The stream hash spreads ops over 4 lanes (op i into lane i mod 4).
+ * A 7-op stream puts ops 0-3 in the unrolled body and ops 4-6 in the
+ * tail, so every lane position of both is covered.
+ */
+TEST(Fingerprint, EveryFieldOfEveryOpChangesTheKey)
+{
+    const std::vector<TraceOp> ops = laneOps(7);
+    const std::uint64_t base = laneKey(laneTrace(ops));
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        std::vector<TraceOp> addr = ops;
+        addr[i].addr ^= 1;
+        EXPECT_NE(laneKey(laneTrace(addr)), base) << "addr of op " << i;
+        std::vector<TraceOp> high = ops;
+        high[i].addr ^= Addr{1} << 63;
+        EXPECT_NE(laneKey(laneTrace(high)), base) << "addr bit 63, op "
+                                                  << i;
+        std::vector<TraceOp> pc = ops;
+        pc[i].pc ^= 0x8000;
+        EXPECT_NE(laneKey(laneTrace(pc)), base) << "pc of op " << i;
+        std::vector<TraceOp> kind = ops;
+        kind[i].kind = OpKind::Store;
+        EXPECT_NE(laneKey(laneTrace(kind)), base) << "kind of op " << i;
+    }
+}
+
+TEST(Fingerprint, SwappingOpsChangesTheKey)
+{
+    const std::vector<TraceOp> ops = laneOps(9);
+    const std::uint64_t base = laneKey(laneTrace(ops));
+    // Same lane (0, 4 and 8 all land in lane 0), body and tail.
+    for (const auto &[a, b] : {std::pair{0, 4}, std::pair{4, 8},
+                              std::pair{1, 5}}) {
+        std::vector<TraceOp> swapped = ops;
+        std::swap(swapped[a], swapped[b]);
+        EXPECT_NE(laneKey(laneTrace(swapped)), base)
+            << "same lane " << a << "<->" << b;
+    }
+    // Different lanes.
+    for (const auto &[a, b] : {std::pair{0, 1}, std::pair{2, 7},
+                              std::pair{3, 8}}) {
+        std::vector<TraceOp> swapped = ops;
+        std::swap(swapped[a], swapped[b]);
+        EXPECT_NE(laneKey(laneTrace(swapped)), base)
+            << "lanes " << a % 4 << "/" << b % 4;
+    }
+}
+
+TEST(Fingerprint, MovingAnOpToAnotherCoreChangesTheKey)
+{
+    const std::vector<TraceOp> ops = laneOps(8);
+    const std::vector<TraceOp> front(ops.begin(), ops.begin() + 5);
+    const std::vector<TraceOp> back(ops.begin() + 5, ops.end());
+    const std::uint64_t base = laneKey(laneTrace(front, back));
+
+    // The same ops in the same order, split one op earlier or later.
+    const std::vector<TraceOp> shorter(ops.begin(), ops.begin() + 4);
+    const std::vector<TraceOp> longer(ops.begin() + 4, ops.end());
+    EXPECT_NE(laneKey(laneTrace(shorter, longer)), base);
+    const std::vector<TraceOp> front6(ops.begin(), ops.begin() + 6);
+    const std::vector<TraceOp> back2(ops.begin() + 6, ops.end());
+    EXPECT_NE(laneKey(laneTrace(front6, back2)), base);
+}
+
+TEST(Fingerprint, TraceAndColumnarViewAgreeOnShortStreams)
+{
+    for (std::uint32_t n = 0; n <= 5; ++n) {
+        const Trace t = laneTrace(laneOps(n), laneOps(5 - n));
+        const ColumnarTrace soa = ColumnarTrace::fromTrace(t);
+        EXPECT_EQ(store::workloadFingerprint(soa.view(), RunParams{},
+                                             MemType::Cache),
+                  laneKey(t))
+            << n << " ops";
+    }
 }
 
 // ----------------------------------------------------------- EpochStore
@@ -504,6 +620,55 @@ TEST(EpochDbStore, ResultConsultsStoreOnCacheMiss)
     EXPECT_EQ(st.stats().hits, 1u);
     EXPECT_EQ(st.stats().putRecords,
               db.result(baselineConfig()).epochs.size());
+}
+
+/*
+ * A database served from the store converts its trace only when it
+ * first replays. Here that first replay is a parallel ensure(): the
+ * candidates are all store hits, and the next batch carries three
+ * misses, so the columnar view is built just before the workers
+ * start. Results and compacted store bytes must match serial runs.
+ */
+TEST(EpochDbStore, FirstConversionInParallelEnsureMatchesSerial)
+{
+    const test::ScratchDir scratch;
+    const Workload wl = smallWorkload();
+    Rng rng(31);
+    const std::vector<HwConfig> cfgs =
+        ConfigSpace(wl.l1Type).sample(7, rng);
+    const std::vector<HwConfig> candidates(cfgs.begin(),
+                                           cfgs.begin() + 4);
+    const std::vector<HwConfig> batch = {cfgs[4], cfgs[0], cfgs[5],
+                                         cfgs[2], cfgs[6]};
+
+    EpochDb cold(wl);
+    auto sweep = [&](const std::string &path, unsigned jobs) {
+        {
+            store::EpochStore st;
+            EXPECT_TRUE(st.open(path, testOptions()).isOk());
+            EpochDb fill(wl);
+            fill.attachStore(&st);
+            fill.ensure(candidates);
+            st.flush();
+        }
+        store::EpochStore st;
+        EXPECT_TRUE(st.open(path, testOptions()).isOk());
+        EpochDb db(wl);
+        db.setJobs(jobs);
+        db.attachStore(&st);
+        db.ensure(candidates);
+        EXPECT_EQ(st.stats().hits, candidates.size());
+        EXPECT_EQ(st.stats().misses, 0u);
+        db.ensure(batch);
+        EXPECT_EQ(st.stats().misses, 3u);
+        for (const HwConfig &cfg : cfgs)
+            expectResultsEqual(db.result(cfg), cold.result(cfg));
+        db.attachStore(nullptr);
+        EXPECT_TRUE(st.compact().isOk());
+        return fileBytes(path);
+    };
+    EXPECT_EQ(sweep(scratch.path("jobs4.store"), 4),
+              sweep(scratch.path("jobs1.store"), 1));
 }
 
 // -------------------------------------------------- crash durability
