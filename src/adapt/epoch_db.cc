@@ -1,6 +1,7 @@
 #include "adapt/epoch_db.hh"
 
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -10,9 +11,18 @@
 
 namespace sadapt {
 
-EpochDb::EpochDb(const Workload &workload)
-    : wl(workload), sim(workload.params)
+EpochDb::EpochDb(const Workload &workload, std::size_t epoch_budget)
+    : wl(workload), budgetV(epoch_budget), sim(workload.params)
 {
+}
+
+EpochDb::EpochDb(const Workload &workload, ColumnarTrace trace,
+                 std::size_t epoch_budget)
+    : wl(workload), soa(std::move(trace)), budgetV(epoch_budget),
+      sim(workload.params)
+{
+    SADAPT_ASSERT(soa->shape() == wl.params.shape,
+                  "columnar trace shape does not match the workload");
 }
 
 std::uint64_t
@@ -46,9 +56,20 @@ void
 EpochDb::attachStore(store::EpochStore *epoch_store)
 {
     storeV = epoch_store;
-    fingerprintV = epoch_store != nullptr
-        ? store::workloadFingerprint(wl.trace, wl.params, wl.l1Type)
-        : 0;
+    fingerprintV = 0;
+    if (epoch_store == nullptr)
+        return;
+    // The TraceView overload is bit-equal to the AoS one, so an
+    // adopted columnar trace keys the same cells as its source.
+    fingerprintV = soa.has_value()
+        ? store::workloadFingerprint(soa->view(), wl.params, wl.l1Type)
+        : store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
+    if (budgetV > 0)
+        fingerprintV = store::Fnv1a()
+                           .u64(fingerprintV)
+                           .str("epoch_budget")
+                           .u64(budgetV)
+                           .value();
 }
 
 TraceView
@@ -62,7 +83,7 @@ EpochDb::replayView()
 const SimResult &
 EpochDb::simulateAndCommit(std::uint64_t key, const HwConfig &cfg)
 {
-    SimResult res = sim.run(replayView(), cfg);
+    SimResult res = sim.run(replayView(), cfg, budgetV);
     if (storeV != nullptr)
         storeV->put(fingerprintV, cfg, res);
     return commit(key, std::move(res));
@@ -147,7 +168,8 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
         Transmuter task_sim(wl.params);
         if (metricsV != nullptr)
             task_sim.setMetrics(&shards[i]);
-        results[i] = task_sim.run(view, pending[missing[i]].cfg);
+        results[i] =
+            task_sim.run(view, pending[missing[i]].cfg, budgetV);
     });
 
     // Barrier passed: commit store hits and fresh replays interleaved

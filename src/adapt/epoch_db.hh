@@ -10,8 +10,13 @@
  * evaluated exactly by stitching per-epoch segments together and
  * charging reconfiguration penalties at the seams.
  *
- * Full-trace replays of distinct configurations are independent given
- * the shared immutable Trace, so the database exposes a batch
+ * A database may carry an epoch budget: every replay then stops after
+ * that many epochs, for callers (serve sessions) that can never
+ * consume more. The records kept are a bit-exact prefix of the full
+ * run's (Transmuter::run's max_epochs).
+ *
+ * Replays of distinct configurations are independent given the shared
+ * immutable trace, so the database exposes a batch
  * ensure() API that replays missing configurations concurrently (one
  * Transmuter per task) and commits the results in request order — the
  * memoized state, exported metrics and every downstream ScheduleEval
@@ -35,13 +40,30 @@
 namespace sadapt {
 
 /**
- * Lazily memoized full-run simulations of one workload, one per
- * hardware configuration.
+ * Lazily memoized simulations of one workload, one per hardware
+ * configuration: full runs, or budget-long prefixes of them.
  */
 class EpochDb
 {
   public:
-    explicit EpochDb(const Workload &workload);
+    /**
+     * @param workload the workload to replay (must outlive the
+     *        database).
+     * @param epoch_budget replay at most this many epochs per
+     *        configuration; 0 replays the whole trace. Fixed for the
+     *        database's life, so one cache never mixes lengths.
+     */
+    explicit EpochDb(const Workload &workload,
+                     std::size_t epoch_budget = 0);
+
+    /**
+     * As above, but adopting `trace`, the columnar form of
+     * workload.trace. Replays and the store fingerprint then read
+     * only `trace`, never workload.trace, so the caller may release
+     * the AoS ops once the database is built (serve sessions do).
+     */
+    EpochDb(const Workload &workload, ColumnarTrace trace,
+            std::size_t epoch_budget = 0);
 
     /**
      * Replay parallelism for ensure(): jobs <= 1 is the exact serial
@@ -62,14 +84,24 @@ class EpochDb
      */
     void ensure(std::span<const HwConfig> cfgs);
 
-    /** Full simulation result under one configuration (memoized). */
+    /**
+     * Simulation result under one configuration (memoized): the whole
+     * run, or its first epochBudget() epochs.
+     */
     const SimResult &result(const HwConfig &cfg);
 
     /** Per-epoch records under one configuration. */
     const std::vector<EpochRecord> &epochs(const HwConfig &cfg);
 
-    /** Number of epochs (identical for every configuration). */
+    /**
+     * Number of epochs recorded per configuration (identical for
+     * every configuration): min(epochBudget(), N) for a trace of N
+     * epochs, or N without a budget.
+     */
     std::size_t numEpochs();
+
+    /** The replay epoch budget; 0 = whole trace. */
+    std::size_t epochBudget() const { return budgetV; }
 
     /** Number of configurations simulated so far. */
     std::size_t simulatedConfigs() const { return cache.size(); }
@@ -103,7 +135,11 @@ class EpochDb
 
     /**
      * The workload fingerprint used to address the attached store;
-     * 0 until a store is attached.
+     * 0 until a store is attached. A nonzero epoch budget is folded
+     * in, since the store keys a result only by (fingerprint,
+     * encode()): a truncated result must never be served to a
+     * full-trace database, or the reverse. Without a budget it is
+     * exactly store::workloadFingerprint of the trace.
      */
     std::uint64_t storeFingerprint() const { return fingerprintV; }
 
@@ -123,14 +159,16 @@ class EpochDb
   private:
     const Workload &wl;
     /**
-     * The workload trace in the columnar SoA layout, built on the
-     * first replay (replayView()); every replay (serial or parallel)
-     * runs from this shared immutable view, keeping the
-     * per-configuration conversion cost out of the sweep inner loop,
-     * and a database served entirely from the store never converts.
-     * Results are bit-identical to replaying the AoS trace directly.
+     * The workload trace in the columnar SoA layout, adopted at
+     * construction or built on the first replay (replayView()); every
+     * replay (serial or parallel) runs from this shared immutable
+     * view, keeping the per-configuration conversion cost out of the
+     * sweep inner loop, and a database served entirely from the store
+     * never converts. Results are bit-identical to replaying the AoS
+     * trace directly.
      */
     std::optional<ColumnarTrace> soa;
+    std::size_t budgetV = 0;
     Transmuter sim;
     unsigned jobsV = 1;
     obs::MetricRegistry *metricsV = nullptr;

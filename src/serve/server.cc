@@ -3,7 +3,9 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "adapt/epoch_db.hh"
 #include "adapt/session.hh"
@@ -25,6 +27,11 @@ namespace {
  * is shared with another session except the injected ServeOptions
  * handles (predictor, store) — which is exactly the boundary the
  * lint-serve-session-state rule enforces for this directory.
+ *
+ * The trace lives in one form only: the database adopts its columnar
+ * conversion and the AoS ops are released right after. The database
+ * replays at most spec.maxEpochs epochs per configuration, the most
+ * the session can ever serve.
  */
 struct ServeSession
 {
@@ -45,7 +52,8 @@ struct ServeSession
     ServeSession(const SessionSpec &sp, const ServeOptions &opt)
         : spec(sp),
           workload(buildSessionWorkload(sp, opt.scale)),
-          db(workload),
+          db(workload, ColumnarTrace::fromTrace(workload.trace),
+             sp.maxEpochs),
           cost(workload.params.shape, workload.params.memBandwidth,
                workload.params.energy),
           initial(baselineConfig(workload.l1Type)),
@@ -57,14 +65,20 @@ struct ServeSession
         // Shard journaling starts empty; the server emits the open
         // event right after construction, so it is the first line.
         observer.attachJournal(journalBuf);
+        workload.trace = Trace{};
         db.setJobs(1);
         if (opt.store != nullptr)
             db.attachStore(opt.store);
         epochsTotal = db.numEpochs();
-        if (spec.maxEpochs > 0 && spec.maxEpochs < epochsTotal)
-            epochsTotal = spec.maxEpochs;
         state.schedule.configs.reserve(epochsTotal);
     }
+};
+
+/** What a closed session leaves for the final merge. */
+struct ClosedShard
+{
+    std::string journal;       //!< the session's journal shard text
+    obs::MetricRegistry metrics;
 };
 
 /** The dataset ids the traffic families can name. */
@@ -81,10 +95,14 @@ knownDatasets()
     return known;
 }
 
-/** Close one session: final evaluation, close event, outcome row. */
+/**
+ * Close one session: final evaluation, close event, outcome row, and
+ * its journal shard text and metrics saved in `shard` for the merge.
+ */
 void
 closeSession(ServeSession &s, const ServeOptions &opt,
-             obs::RunObserver &server, SessionOutcome &row)
+             obs::RunObserver &server, SessionOutcome &row,
+             ClosedShard &shard)
 {
     const ScheduleEval ev = evaluateSchedulePrefix(
         s.db, s.state.schedule, s.cost, opt.mode, s.initial);
@@ -105,6 +123,10 @@ closeSession(ServeSession &s, const ServeOptions &opt,
     row.seconds = ev.seconds;
     row.gflops = ev.gflops();
     row.metricValue = ev.metric(opt.mode);
+
+    s.observer.flush();
+    shard.journal = s.journalBuf.str();
+    shard.metrics.merge(s.observer.metrics());
 }
 
 } // namespace
@@ -142,6 +164,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
 
     std::vector<std::unique_ptr<ServeSession>> all(
         script.sessions.size());
+    std::vector<ClosedShard> closed(script.sessions.size());
     std::vector<std::size_t> active; //!< open sessions, id order
     std::size_t nextArrival = 0;
     std::uint64_t tick = 0;
@@ -227,10 +250,13 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
             ++out.epochsServed;
             if (opt.nowNs)
                 latency.observe(opt.nowNs() - t0);
-            if (s.state.epoch >= s.epochsTotal)
-                closeSession(s, opt, server, out.outcomes[i]);
-            else
+            if (s.state.epoch >= s.epochsTotal) {
+                closeSession(s, opt, server, out.outcomes[i],
+                             closed[i]);
+                all[i].reset(); // workload, trace and database
+            } else {
                 still.push_back(i);
+            }
         }
         active.swap(still);
         ++tick;
@@ -242,17 +268,15 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     // per-session registries in. The result is independent of the
     // admission schedule, window and jobs — the shards themselves
     // already are, by stepEpoch()'s re-entrancy contract.
-    for (std::unique_ptr<ServeSession> &sp : all) {
-        ServeSession &s = *sp;
-        s.observer.flush();
-        std::istringstream in(s.journalBuf.str());
+    for (ClosedShard &c : closed) {
+        std::istringstream in(std::move(c.journal));
         Result<obs::JournalRead> shard = obs::readJournal(in);
         if (!shard.isOk())
             return Status::error("runServe: bad journal shard: " +
                                  shard.message());
         for (obs::JournalEvent &ev : shard.value().events)
             server.journal()->write(std::move(ev));
-        server.metrics().merge(s.observer.metrics());
+        server.metrics().merge(c.metrics);
     }
     server.flush();
     out.journalText = serverBuf.str();

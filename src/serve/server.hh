@@ -22,6 +22,10 @@
  * serial replay. Concurrency-dependent observations (tick counts,
  * wall-clock decision latency) are returned in ServeResult only and
  * never enter the merged journal or registry.
+ *
+ * A session's epoch database replays no further than the session's
+ * epoch budget (SessionSpec::maxEpochs), the most it can serve, and a
+ * session's workload and database are released as soon as it closes.
  */
 
 #ifndef SADAPT_SERVE_SERVER_HH

@@ -605,16 +605,20 @@ struct Engine
 } // namespace
 
 SimResult
-Transmuter::run(const Trace &trace, const HwConfig &cfg) const
+Transmuter::run(const Trace &trace, const HwConfig &cfg,
+                std::size_t max_epochs) const
 {
     const ColumnarTrace soa = ColumnarTrace::fromTrace(trace);
-    return runImpl(soa.view(), cfg, nullptr, nullptr, true, nullptr);
+    return runImpl(soa.view(), cfg, nullptr, nullptr, true, nullptr,
+                   max_epochs);
 }
 
 SimResult
-Transmuter::run(const TraceView &trace, const HwConfig &cfg) const
+Transmuter::run(const TraceView &trace, const HwConfig &cfg,
+                std::size_t max_epochs) const
 {
-    return runImpl(trace, cfg, nullptr, nullptr, true, nullptr);
+    return runImpl(trace, cfg, nullptr, nullptr, true, nullptr,
+                   max_epochs);
 }
 
 SimResult
@@ -626,7 +630,7 @@ Transmuter::runSchedule(const Trace &trace, const Schedule &schedule,
     SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
     const ColumnarTrace soa = ColumnarTrace::fromTrace(trace);
     return runImpl(soa.view(), schedule.configs.front(), &schedule,
-                   &cost_model, energy_efficient_mode, faults);
+                   &cost_model, energy_efficient_mode, faults, 0);
 }
 
 SimResult
@@ -637,7 +641,7 @@ Transmuter::runSchedule(const TraceView &trace, const Schedule &schedule,
 {
     SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
     return runImpl(trace, schedule.configs.front(), &schedule,
-                   &cost_model, energy_efficient_mode, faults);
+                   &cost_model, energy_efficient_mode, faults, 0);
 }
 
 namespace {
@@ -761,7 +765,8 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
                     const Schedule *schedule,
                     const ReconfigCostModel *cost_model,
                     bool energy_efficient_mode,
-                    FaultInjector *faults) const
+                    FaultInjector *faults,
+                    std::size_t max_epochs) const
 {
     SADAPT_ASSERT(trace.shape == paramsV.shape,
                   "trace shape does not match simulator shape");
@@ -771,9 +776,12 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
     SimResult result;
     result.config = cfg;
     if (paramsV.epochFpOps > 0) {
-        result.epochs.reserve(static_cast<std::size_t>(
+        std::size_t expected = static_cast<std::size_t>(
             double(trace.totalFpOps) /
-                double(paramsV.epochFpOps * eng.numGpes)) + 2);
+                double(paramsV.epochFpOps * eng.numGpes)) + 2;
+        if (max_epochs > 0)
+            expected = std::min(expected, max_epochs);
+        result.epochs.reserve(expected);
     }
 
     const std::uint32_t num_cores = eng.numCores;
@@ -1015,6 +1023,10 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
         result.epochs.push_back(eng.closeEpoch(
             epoch_index++, epoch_start, core_cycle[core]));
         injectTelemetryFaults(faults, result.epochs.back());
+        // Every closed record depends only on ops already executed,
+        // so stopping here leaves a bit-exact prefix of the full run.
+        if (epoch_index == max_epochs)
+            return result;
         epoch_start = core_cycle[core];
 
         HwConfig next = eng.cfg;

@@ -11,6 +11,7 @@
 
 #include <list>
 #include <map>
+#include <ostream>
 
 #include "common/rng.hh"
 #include "sim/cache.hh"
@@ -93,6 +94,14 @@ struct DiffCase
     std::uint32_t assoc;
     std::uint64_t region;
 };
+
+// Names each case by its fields instead of gtest's raw byte dump.
+void
+PrintTo(const DiffCase &c, std::ostream *os)
+{
+    *os << "cap" << c.capacity << "_assoc" << c.assoc << "_region"
+        << c.region;
+}
 
 class CacheDifferential : public testing::TestWithParam<DiffCase>
 {

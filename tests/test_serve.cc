@@ -238,6 +238,78 @@ TEST(SessionStep, InterleavedSessionsMatchSequentialRuns)
             << "session 1 diverged at epoch " << e;
 }
 
+/*
+ * Serve replays each session only up to its epoch budget. Driving the
+ * same sessions to their budget against unbudgeted, full-trace
+ * databases must give the same decisions and the same outcome rows
+ * bit for bit, so the budget cannot change a decision.
+ */
+TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
+{
+    const serve::TrafficScript script = testScript(4);
+    auto served = serve::runServe(script, testOptions(2, 1));
+    ASSERT_TRUE(served.isOk()) << served.message();
+    const serve::ServeResult &res = served.value();
+    ASSERT_EQ(res.outcomes.size(), script.sessions.size());
+
+    // The decisions runServe journaled, per session.
+    std::vector<std::vector<std::string>> journaled(
+        script.sessions.size());
+    std::istringstream in(res.journalText);
+    auto read = obs::readJournal(in);
+    ASSERT_TRUE(read.isOk()) << read.message();
+    for (const obs::JournalEvent &ev : read.value().events) {
+        if (ev.type != "session" ||
+            ev.strField("op").value_or("") != "decision")
+            continue;
+        const auto id = static_cast<std::size_t>(
+            ev.intField("session").value_or(-1));
+        ASSERT_LT(id, journaled.size());
+        journaled[id].push_back(ev.strField("cfg").value_or(""));
+    }
+
+    std::size_t truncated = 0; //!< sessions whose budget cut a replay
+    for (const serve::SessionSpec &spec : script.sessions) {
+        SCOPED_TRACE("session " + std::to_string(spec.id));
+        const Workload wl = serve::buildSessionWorkload(spec, kScale);
+        EpochDb db(wl);
+        ASSERT_EQ(db.epochBudget(), 0u);
+        const ReconfigCostModel cost(wl.params.shape,
+                                     wl.params.memBandwidth,
+                                     wl.params.energy);
+        const Policy policy(PolicyKind::Hybrid, 0.4);
+        const SessionContext ctx{&sharedPredictor(), &policy,
+                                 OptMode::EnergyEfficient, &cost,
+                                 nullptr, false, true, nullptr};
+        const HwConfig initial = baselineConfig(wl.l1Type);
+        SessionState state = makeSessionState(initial, ctx);
+        const std::size_t n = db.numEpochs();
+        const std::size_t total =
+            spec.maxEpochs > 0 ? std::min(spec.maxEpochs, n) : n;
+        truncated += total < n;
+        std::vector<std::string> decisions;
+        while (state.epoch < total) {
+            stepEpoch(state, ctx,
+                      db.epochs(state.current)[state.epoch]);
+            decisions.push_back(state.current.toSpec());
+        }
+        EXPECT_EQ(db.numEpochs(), n);
+        EXPECT_EQ(decisions, journaled[spec.id]);
+
+        const ScheduleEval ev = evaluateSchedulePrefix(
+            db, state.schedule, cost, OptMode::EnergyEfficient,
+            initial);
+        const serve::SessionOutcome &row = res.outcomes[spec.id];
+        EXPECT_EQ(row.id, spec.id);
+        EXPECT_EQ(row.epochs, state.epoch);
+        EXPECT_EQ(row.reconfigs, ev.reconfigCount);
+        EXPECT_EQ(row.seconds, ev.seconds);
+        EXPECT_EQ(row.gflops, ev.gflops());
+        EXPECT_EQ(row.metricValue, ev.metric(OptMode::EnergyEfficient));
+    }
+    EXPECT_GT(truncated, 0u);
+}
+
 TEST(Serve, RejectsBadInput)
 {
     serve::TrafficScript script = testScript(1);
