@@ -97,7 +97,6 @@ main()
         serve::makeTrafficScript(kSessions, kScriptSeed);
     const Predictor pred = servePredictor();
     const unsigned reps = repCount();
-    const unsigned jobs = benchJobs();
 
     BenchReport report("serve_traffic");
     std::string firstJournal;
@@ -108,7 +107,6 @@ main()
     for (unsigned rep = 0; rep < reps; ++rep) {
         serve::ServeOptions so;
         so.sessions = kWindow;
-        so.jobs = jobs;
         so.scale = kServeScale;
         so.predictor = &pred;
         so.nowNs = wallNowNs;
@@ -161,9 +159,8 @@ main()
                    str("session", s.id, ":", s.dataset), s.gflops,
                    s.metricValue);
 
-    std::printf("\nbest of %u reps: %.2f sessions/s at window %u, "
-                "jobs %u\n",
-                reps, bestSps, kWindow, jobs);
+    std::printf("\nbest of %u reps: %.2f sessions/s at window %u\n",
+                reps, bestSps, kWindow);
     report.write();
     writeObserverOutputs();
     return 0;

@@ -289,7 +289,6 @@ robustSparseAdaptSchedule(EpochDb &db, const Predictor &predictor,
     ctx.mode = mode;
     ctx.costModel = &cost_model;
     ctx.faults = faults;
-    ctx.robust = true;
     ctx.useGuard = opts.useGuard;
     ctx.observer = observer;
     SessionState s =

@@ -68,7 +68,7 @@ class EpochDb
     /**
      * Replay parallelism for ensure(): jobs <= 1 is the exact serial
      * path (and the default); higher values replay missing
-     * configurations on a pool of that many workers.
+     * configurations on up to that many parallelFor() workers.
      */
     void setJobs(unsigned jobs) { jobsV = jobs > 0 ? jobs : 1; }
     unsigned jobs() const { return jobsV; }

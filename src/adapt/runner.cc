@@ -136,28 +136,21 @@ Comparison::sparseAdapt()
 }
 
 Comparison::RobustEval
-Comparison::sparseAdaptRobust(const FaultSpec &spec, bool guarded,
-                              const RobustAdaptOptions &robust_opts)
+Comparison::sparseAdaptRobust(const FaultSpec &spec, bool guarded)
 {
     SADAPT_ASSERT(pred != nullptr && pred->trained(),
                   "sparseAdaptRobust() needs a trained predictor");
     std::optional<FaultInjector> injector;
     if (spec.enabled())
         injector.emplace(spec);
-    RobustAdaptOptions ro = robust_opts;
+    RobustAdaptOptions ro;
     ro.useGuard = guarded;
     RobustAdaptResult res = robustSparseAdaptSchedule(
         dbV, *pred, opts.policy, opts.mode, cost, initial,
         injector ? &*injector : nullptr, ro, opts.observer);
-
-    RobustEval out;
-    out.eval = evaluateSchedule(dbV, res.schedule, cost, opts.mode,
-                                initial);
-    out.faults = res.faults;
-    out.guard = res.guard;
-    out.watchdogReverts = res.watchdogReverts;
-    out.watchdogHeldEpochs = res.watchdogHeldEpochs;
-    return out;
+    const ScheduleEval eval =
+        evaluateSchedule(dbV, res.schedule, cost, opts.mode, initial);
+    return {std::move(res), eval};
 }
 
 } // namespace sadapt

@@ -96,14 +96,13 @@ class Comparison
     /** The SparseAdapt schedule itself (for timeline plots). */
     const Schedule &sparseAdaptSchedule();
 
-    /** SparseAdapt under fault injection, with degraded-mode stats. */
-    struct RobustEval
+    /**
+     * SparseAdapt under fault injection: the stitched evaluation plus
+     * the robust loop's schedule and degraded-mode stats.
+     */
+    struct RobustEval : RobustAdaptResult
     {
         ScheduleEval eval;
-        FaultStats faults;
-        GuardStats guard;
-        std::uint64_t watchdogReverts = 0;
-        std::uint64_t watchdogHeldEpochs = 0;
     };
 
     /**
@@ -112,9 +111,8 @@ class Comparison
      * TelemetryGuard/Watchdog defenses (the naive loop), for
      * robustness comparisons. Deterministic per (spec, workload).
      */
-    RobustEval sparseAdaptRobust(
-        const FaultSpec &spec, bool guarded = true,
-        const RobustAdaptOptions &robust_opts = RobustAdaptOptions{});
+    RobustEval sparseAdaptRobust(const FaultSpec &spec,
+                                 bool guarded = true);
 
     EpochDb &db() { return dbV; }
     const std::vector<HwConfig> &candidates();

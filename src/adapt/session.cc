@@ -116,91 +116,68 @@ emitGuardEvent(obs::RunObserver *o, const std::string &verdict,
     o->metrics().counter("adapt/guard/" + verdict).add();
 }
 
-/** The robust loop body: fault channel, guard, watchdog, policy. */
-void
-stepEpochRobust(SessionState &s, const SessionContext &ctx,
+/**
+ * Predict the next configuration from `sample` and filter it through
+ * the hysteresis policy, journaling both steps.
+ */
+HwConfig
+predictAndFilter(const SessionState &s, const SessionContext &ctx,
+                 const PerfCounterSample &sample,
+                 const EpochRecord &rec)
+{
+    const HwConfig predicted = ctx.predictor->predict(s.current, sample);
+    emitPrediction(ctx.observer, predicted);
+    const PolicyOutcome outcome = ctx.policy->applyDetailed(
+        s.current, predicted, rec.seconds, *ctx.costModel,
+        ctx.mode == OptMode::EnergyEfficient);
+    emitPolicyDecisions(ctx.observer, outcome);
+    return outcome.config;
+}
+
+/**
+ * The guarded decision: the guard classifies (and may repair) the
+ * received sample, and the watchdog may hold the configuration or
+ * revert it to the safe baseline before the predictor is consulted.
+ */
+HwConfig
+guardedDecision(SessionState &s, const SessionContext &ctx,
+                const std::optional<PerfCounterSample> &received,
                 const EpochRecord &rec)
 {
-    const bool ee = ctx.mode == OptMode::EnergyEfficient;
     obs::RunObserver *observer = ctx.observer;
-    const auto epoch = static_cast<std::uint32_t>(s.epoch);
-
-    std::optional<PerfCounterSample> received = ctx.faults
-        ? ctx.faults->filterSample(epoch, rec.counters)
-        : std::optional<PerfCounterSample>(rec.counters);
-
-    HwConfig commanded = s.current;
-    if (!ctx.useGuard) {
-        // Naive loop: a missing sample reads as all-zero counters
-        // (stuck telemetry register); corruption feeds the
-        // predictor verbatim.
-        const PerfCounterSample sample =
-            received.value_or(PerfCounterSample{});
-        const HwConfig predicted =
-            ctx.predictor->predict(s.current, sample);
-        emitPrediction(observer, predicted);
-        const PolicyOutcome outcome = ctx.policy->applyDetailed(
-            s.current, predicted, rec.seconds, *ctx.costModel, ee);
-        emitPolicyDecisions(observer, outcome);
-        commanded = outcome.config;
+    PerfCounterSample sample;
+    bool usable = false;
+    if (!received) {
+        s.guard.recordMissing();
+        emitGuardEvent(observer, "missing", 0);
     } else {
-        PerfCounterSample sample;
-        bool usable = false;
-        if (!received) {
-            s.guard.recordMissing();
-            emitGuardEvent(observer, "missing", 0);
-        } else {
-            sample = *received;
-            const GuardReport report = s.guard.inspect(sample);
-            emitGuardEvent(observer,
-                           sampleVerdictName(report.verdict),
-                           report.flagged.size());
-            if (report.verdict == SampleVerdict::Bad) {
-                // Discard; fall back to last-known-good features.
-                if (s.guard.lastKnownGood()) {
-                    sample = *s.guard.lastKnownGood();
-                    usable = true;
-                }
-            } else {
+        sample = *received;
+        const GuardReport report = s.guard.inspect(sample);
+        emitGuardEvent(observer, sampleVerdictName(report.verdict),
+                       report.flagged.size());
+        if (report.verdict == SampleVerdict::Bad) {
+            // Discard; fall back to last-known-good features.
+            if (s.guard.lastKnownGood()) {
+                sample = *s.guard.lastKnownGood();
                 usable = true;
             }
-        }
-
-        const double realized = metricValue(
-            ctx.mode, rec.flops, rec.seconds, rec.totalEnergy());
-        const Watchdog::Decision wd =
-            s.watchdog.observe(realized, usable);
-        if (observer != nullptr)
-            observer->metrics()
-                .gauge("adapt/watchdog/reference")
-                .set(s.watchdog.reference());
-        if (wd.revert) {
-            commanded = s.safe;
-        } else if (wd.hold || !usable) {
-            commanded = s.current;
         } else {
-            const HwConfig predicted =
-                ctx.predictor->predict(s.current, sample);
-            emitPrediction(observer, predicted);
-            const PolicyOutcome outcome = ctx.policy->applyDetailed(
-                s.current, predicted, rec.seconds, *ctx.costModel,
-                ee);
-            emitPolicyDecisions(observer, outcome);
-            commanded = outcome.config;
+            usable = true;
         }
     }
 
-    s.current = ctx.faults
-        ? ctx.faults->applyCommand(epoch, s.current, commanded)
-        : commanded;
-    emitNewFaultEvents(observer, ctx.faults, s.faultsSeen);
-    emitReconfig(observer, s.schedule.configs.back(), s.current,
-                 *ctx.costModel, ee);
-    s.tNow += rec.seconds;
-    if (!(s.current == s.schedule.configs.back()))
-        s.tNow += ctx.costModel
-                      ->cost(s.schedule.configs.back(), s.current, ee)
-                      .seconds;
+    const double realized = metricValue(ctx.mode, rec.flops,
+                                        rec.seconds, rec.totalEnergy());
+    const Watchdog::Decision wd = s.watchdog.observe(realized, usable);
+    if (observer != nullptr)
+        observer->metrics()
+            .gauge("adapt/watchdog/reference")
+            .set(s.watchdog.reference());
+    if (wd.revert)
+        return s.safe;
+    if (wd.hold || !usable)
+        return s.current;
+    return predictAndFilter(s, ctx, sample, rec);
 }
 
 } // namespace
@@ -223,33 +200,34 @@ makeSessionState(const HwConfig &initial, const SessionContext &ctx,
 
 void
 stepEpoch(SessionState &s, const SessionContext &ctx,
-          const EpochRecord &rec, const HwConfig *predicted_hint)
+          const EpochRecord &rec)
 {
-    obs::RunObserver *observer = ctx.observer;
-    s.schedule.configs.push_back(s.current);
-    // Telemetry of the epoch that just ran under `s.current`.
-    emitEpochEvent(observer, s.epoch, s.tNow, s.current, rec,
-                   ctx.mode);
-    if (ctx.robust) {
-        stepEpochRobust(s, ctx, rec);
-        ++s.epoch;
-        return;
-    }
     const bool ee = ctx.mode == OptMode::EnergyEfficient;
-    const HwConfig predicted = predicted_hint != nullptr
-        ? *predicted_hint
-        : ctx.predictor->predict(s.current, rec.counters);
-    emitPrediction(observer, predicted);
-    const PolicyOutcome outcome = ctx.policy->applyDetailed(
-        s.current, predicted, rec.seconds, *ctx.costModel, ee);
-    emitPolicyDecisions(observer, outcome);
-    emitReconfig(observer, s.current, outcome.config, *ctx.costModel,
-                 ee);
+    obs::RunObserver *observer = ctx.observer;
+    const auto epoch = static_cast<std::uint32_t>(s.epoch);
+    const HwConfig from = s.current;
+    s.schedule.configs.push_back(from);
+    // Telemetry of the epoch that just ran under `from`.
+    emitEpochEvent(observer, s.epoch, s.tNow, from, rec, ctx.mode);
+
+    std::optional<PerfCounterSample> received = ctx.faults
+        ? ctx.faults->filterSample(epoch, rec.counters)
+        : std::optional<PerfCounterSample>(rec.counters);
+    // Unguarded, a missing sample reads as all-zero counters (stuck
+    // telemetry register) and corruption feeds the predictor verbatim.
+    const HwConfig commanded = ctx.useGuard
+        ? guardedDecision(s, ctx, received, rec)
+        : predictAndFilter(s, ctx,
+                           received.value_or(PerfCounterSample{}), rec);
+
+    s.current = ctx.faults
+        ? ctx.faults->applyCommand(epoch, from, commanded)
+        : commanded;
+    emitNewFaultEvents(observer, ctx.faults, s.faultsSeen);
+    emitReconfig(observer, from, s.current, *ctx.costModel, ee);
     s.tNow += rec.seconds;
-    if (!(outcome.config == s.current))
-        s.tNow += ctx.costModel->cost(s.current, outcome.config, ee)
-                      .seconds;
-    s.current = outcome.config;
+    if (!(s.current == from))
+        s.tNow += ctx.costModel->cost(from, s.current, ee).seconds;
     ++s.epoch;
 }
 

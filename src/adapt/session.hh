@@ -5,19 +5,19 @@
  * SessionState is everything one adaptation stream mutates epoch to
  * epoch — current configuration, simulated clock, decision history,
  * guard/watchdog defenses and the fault-event cursor — and
- * SessionContext is everything it only reads (predictor, policy, cost
- * model, observer). stepEpoch() advances one session by exactly one
- * epoch; it touches nothing outside its two arguments (no
- * function-local statics, no globals), so any number of sessions can
- * be interleaved in any order — or driven concurrently from the serve
- * layer, one session per state object — and each one's decision
- * sequence is bit-identical to running it alone.
+ * SessionContext is what it only reads (predictor, policy, cost model,
+ * fault channel, guard switch, observer). stepEpoch() is the one loop
+ * body: it advances one session by exactly one epoch and touches
+ * nothing outside its two arguments (no function-local statics, no
+ * globals), so any number of sessions can be interleaved in any order
+ * — as the serve layer does every tick — and each one's decision
+ * sequence is bit-identical to running it alone (tests/test_serve.cc
+ * pins that).
  *
  * The batch drivers in adapt/controllers.cc (sparseAdaptSchedule,
- * robustSparseAdaptSchedule) are thin loops over stepEpoch(); their
- * journals and schedules are byte-for-byte what they were before the
- * extraction (tests/test_obs_determinism.cc pins the journal shape,
- * tests/test_controllers.cc pins the interleaving contract).
+ * robustSparseAdaptSchedule) are thin loops over stepEpoch() that
+ * differ only in the context they set and the stats they report
+ * (tests/test_obs_determinism.cc pins their journal shape).
  */
 
 #ifndef SADAPT_ADAPT_SESSION_HH
@@ -52,15 +52,11 @@ struct SessionContext
     FaultInjector *faults = nullptr;
 
     /**
-     * Select the robust loop body (guard/watchdog defenses and the
-     * fault channel). The plain body is NOT the robust body with null
-     * faults: the robust loop journals guard verdicts and watchdog
-     * gauges even on clean telemetry.
+     * Run the TelemetryGuard + Watchdog defenses. Off, with null
+     * faults, the step is the paper's plain loop: telemetry,
+     * prediction, policy, reconfiguration.
      */
-    bool robust = false;
-
-    /** Robust loop only: disable the TelemetryGuard + Watchdog. */
-    bool useGuard = true;
+    bool useGuard = false;
 
     /** Optional decision-trail sink; pure observer (may be null). */
     obs::RunObserver *observer = nullptr;
@@ -95,23 +91,16 @@ makeSessionState(const HwConfig &initial, const SessionContext &ctx,
 
 /**
  * Advance one session by one epoch: journal the epoch's telemetry,
- * predict (or take `predicted_hint`), filter through the policy (and,
- * on the robust path, the guard/watchdog and fault channels), apply
- * the reconfiguration and advance the session clock.
+ * pass it through the fault channel (when `ctx.faults` is set) and
+ * the guard/watchdog (when `ctx.useGuard`), predict, filter through
+ * the policy, apply the reconfiguration and advance the session
+ * clock.
  *
  * `rec` is the just-finished epoch's record under `s.current` — i.e.
  * `db.epochs(s.current)[s.epoch]` for an EpochDb-backed caller.
- *
- * `predicted_hint`, when non-null, must equal
- * `ctx.predictor->predict(s.current, rec.counters)`; the serve layer's
- * batched-inference stage precomputes it off-thread (the prediction is
- * a pure function of those two inputs). Plain path only — the robust
- * path's prediction input may be guard-repaired, so hints are ignored
- * there.
  */
 void stepEpoch(SessionState &s, const SessionContext &ctx,
-               const EpochRecord &rec,
-               const HwConfig *predicted_hint = nullptr);
+               const EpochRecord &rec);
 
 } // namespace sadapt
 

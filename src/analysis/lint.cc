@@ -113,7 +113,7 @@ lintSource(const std::string &source, const std::string &rel_path)
                     "lint-naked-thread", rel_path, name->line,
                     Severity::Error,
                     str("std::", name->text, ": spawn workers through "
-                        "common/threading (ThreadPool/parallelFor)"));
+                        "common/threading (parallelFor)"));
             }
         }
         if (!threading_home && t.kind == Token::Kind::Punct &&
@@ -126,8 +126,8 @@ lintSource(const std::string &source, const std::string &rel_path)
                 report.add(
                     "lint-naked-thread", rel_path, name->line,
                     Severity::Error,
-                    "detach(): detached threads escape the pool's "
-                    "drain-on-destroy guarantee; join via "
+                    "detach(): detached threads escape parallelFor's "
+                    "join-before-return guarantee; join via "
                     "common/threading instead");
             }
         }

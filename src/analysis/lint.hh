@@ -13,9 +13,9 @@
  *  - lint-naked-new: no naked new-expressions in src/; containers or
  *    std::make_unique own every allocation.
  *  - lint-naked-thread: no raw std::thread/jthread/async spawning and
- *    no detach() outside common/threading — the ThreadPool and
- *    parallelFor own every worker thread (and drain on destruction),
- *    so sweeps stay deterministic and join-safe.
+ *    no detach() outside common/threading — parallelFor owns every
+ *    worker thread (and joins it before returning), so sweeps stay
+ *    deterministic and join-safe.
  *  - lint-float-eq: no ==/!= against floating-point literals in
  *    sim/ and adapt/, where cycle/energy arithmetic makes exact
  *    equality a latent bug.

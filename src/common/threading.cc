@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <utility>
-
-#include "common/logging.hh"
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace sadapt {
 
@@ -20,148 +21,48 @@ defaultJobs()
     return hw > 0 ? hw : 1;
 }
 
-ThreadPool::ThreadPool(unsigned jobs, std::size_t queue_cap)
-    : queueCap(queue_cap > 0 ? queue_cap : 4 * std::size_t{jobs})
-{
-    SADAPT_ASSERT(jobs >= 1, "thread pool needs at least one worker");
-    workers.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cvIdle.wait(lock, [this] { return inFlight == 0; });
-        stopping = true;
-    }
-    cvTask.notify_all();
-    for (std::thread &w : workers)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cvSpace.wait(lock, [this] { return queue.size() < queueCap; });
-        queue.push_back(std::move(task));
-        ++inFlight;
-    }
-    cvTask.notify_one();
-}
-
-void
-ThreadPool::submitBatch(std::span<std::function<void()>> tasks)
-{
-    std::size_t i = 0;
-    while (i < tasks.size()) {
-        std::size_t pushed = 0;
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            cvSpace.wait(lock,
-                         [this] { return queue.size() < queueCap; });
-            while (i < tasks.size() && queue.size() < queueCap) {
-                queue.push_back(std::move(tasks[i]));
-                ++inFlight;
-                ++i;
-                ++pushed;
-            }
-        }
-        if (pushed == 1)
-            cvTask.notify_one();
-        else if (pushed > 1)
-            cvTask.notify_all();
-    }
-}
-
-void
-ThreadPool::wait()
-{
-    std::exception_ptr err;
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cvIdle.wait(lock, [this] { return inFlight == 0; });
-        err = std::exchange(firstError, nullptr);
-    }
-    if (err)
-        std::rethrow_exception(err);
-}
-
-void
-ThreadPool::recordException(std::exception_ptr e)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (!firstError)
-        firstError = e;
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            cvTask.wait(lock,
-                        [this] { return stopping || !queue.empty(); });
-            if (queue.empty())
-                return; // stopping, and nothing left to drain
-            task = std::move(queue.front());
-            queue.pop_front();
-        }
-        cvSpace.notify_one();
-        try {
-            task();
-        } catch (...) {
-            recordException(std::current_exception());
-        }
-        bool drained = false;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            drained = --inFlight == 0;
-        }
-        if (drained)
-            cvIdle.notify_all();
-    }
-}
-
 void
 parallelFor(std::size_t n, unsigned jobs,
             const std::function<void(std::size_t)> &body)
 {
     if (jobs <= 1 || n <= 1) {
-        // The exact serial path: no pool, no locks, caller's thread.
+        // The exact serial path: no threads, no locks, caller's thread.
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(jobs, n));
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
-    ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([&] {
-            for (;;) {
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                try {
-                    body(i);
-                } catch (...) {
-                    failed.store(true, std::memory_order_relaxed);
-                    throw; // captured by the pool as firstError
-                }
+    std::mutex mu;
+    std::exception_ptr firstError; //!< guarded by mu
+    auto work = [&] {
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                body(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mu);
+                if (!firstError)
+                    firstError = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
             }
-        });
+        }
+    };
+    {
+        // Declared after everything `work` references; jthread joins
+        // on destruction, so every worker is joined on the throw path
+        // of emplace_back too.
+        std::vector<std::jthread> workers;
+        const std::size_t count = std::min<std::size_t>(jobs, n);
+        workers.reserve(count);
+        for (std::size_t w = 0; w < count; ++w)
+            workers.emplace_back(work);
     }
-    pool.wait();
+    if (firstError)
+        std::rethrow_exception(firstError);
 }
 
 } // namespace sadapt

@@ -1,19 +1,20 @@
 /**
  * @file
- * The repo's one and only threading primitive: a fixed-size thread
- * pool with a bounded task queue, plus the parallelFor() helper the
- * simulation-sweep engine is built on.
+ * The repo's one and only threading primitive: parallelFor(), which
+ * the simulation-sweep engine is built on, plus defaultJobs().
  *
  * Design rules (enforced by the lint-naked-thread check):
  *
  *  - No other file spawns std::thread or detaches anything; every
- *    worker lives inside a ThreadPool and is joined in its destructor.
+ *    worker lives inside one parallelFor() call and is joined before
+ *    it returns or throws.
  *  - jobs <= 1 takes the exact serial path: the caller's thread runs
- *    the bodies in index order and no pool, lock or atomic is touched,
- *    so a single-job run is bit-identical to pre-threading code.
- *  - The first exception thrown by any task is captured and rethrown
- *    on the calling thread from wait()/parallelFor(); remaining tasks
- *    still run to completion (workers never die mid-pool).
+ *    the bodies in index order and no thread, lock or atomic is
+ *    touched, so a single-job run is bit-identical to pre-threading
+ *    code.
+ *  - The first exception thrown by any body is captured and rethrown
+ *    on the calling thread once every worker has joined; indices not
+ *    yet started by then are skipped.
  *
  * Parallelism defaults come from defaultJobs(): the SPARSEADAPT_JOBS
  * environment variable when set, otherwise the hardware concurrency.
@@ -22,15 +23,8 @@
 #ifndef SADAPT_COMMON_THREADING_HH
 #define SADAPT_COMMON_THREADING_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <span>
-#include <thread>
-#include <vector>
 
 namespace sadapt {
 
@@ -42,73 +36,15 @@ namespace sadapt {
 unsigned defaultJobs();
 
 /**
- * Fixed-size pool over a bounded task queue. Tasks run in submission
- * order (workers pop from the front); completion order is of course
- * scheduling-dependent, so anything needing a deterministic result
- * must write to a caller-owned slot and be merged after wait().
- */
-class ThreadPool
-{
-  public:
-    /**
-     * @param jobs worker threads to spawn (>= 1).
-     * @param queue_cap bound on queued-but-unstarted tasks; submit()
-     *        blocks when full (0 selects 4 * jobs).
-     */
-    explicit ThreadPool(unsigned jobs, std::size_t queue_cap = 0);
-
-    /** Joins every worker; pending tasks are completed first. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue one task; blocks while the queue is at capacity. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Enqueue a batch of tasks in order, moving from `tasks`. Fills
-     * the queue in chunks as space frees up, so the batch may exceed
-     * the queue capacity; blocks until the last task is enqueued (not
-     * until it runs — pair with wait()). Equivalent to submit() in a
-     * loop, but takes the queue lock once per chunk instead of once
-     * per task — the serve layer's batched-inference stage pushes one
-     * prediction task per pending session through here every tick.
-     */
-    void submitBatch(std::span<std::function<void()>> tasks);
-
-    /**
-     * Block until every submitted task has finished, then rethrow the
-     * first captured task exception, if any (clearing it, so the pool
-     * stays usable).
-     */
-    void wait();
-
-    unsigned jobs() const { return static_cast<unsigned>(workers.size()); }
-
-  private:
-    void workerLoop();
-    void recordException(std::exception_ptr e);
-
-    std::mutex mu;
-    std::condition_variable cvTask;  //!< queue became non-empty / stop
-    std::condition_variable cvSpace; //!< queue dropped below capacity
-    std::condition_variable cvIdle;  //!< all tasks drained
-    std::deque<std::function<void()>> queue;
-    std::size_t queueCap;
-    std::size_t inFlight = 0; //!< queued + currently executing
-    bool stopping = false;
-    std::exception_ptr firstError;
-    std::vector<std::thread> workers;
-};
-
-/**
  * Run body(i) for i in [0, n). With jobs <= 1 (or n <= 1) this is a
  * plain serial loop in increasing index order on the caller's thread —
- * the exact pre-threading code path. Otherwise min(jobs, n) pool
- * workers pull indices in increasing order; the first exception is
- * rethrown on the caller's thread after every worker has stopped
- * (indices not yet started by then are skipped).
+ * the exact pre-threading code path. Otherwise min(jobs, n) worker
+ * threads pull indices in increasing order from a shared counter, so
+ * completion order is scheduling-dependent: anything needing a
+ * deterministic result must write to a caller-owned slot per index and
+ * merge after the call. The first exception is rethrown on the
+ * caller's thread after every worker has joined (indices not yet
+ * started by then are skipped).
  */
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &body);

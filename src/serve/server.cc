@@ -1,5 +1,6 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -10,7 +11,6 @@
 #include "adapt/epoch_db.hh"
 #include "adapt/session.hh"
 #include "common/logging.hh"
-#include "common/threading.hh"
 #include "obs/journal.hh"
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
@@ -47,7 +47,6 @@ struct ServeSession
     SessionState state;
     std::size_t epochsTotal = 0;  //!< epochs this session will serve
     const EpochRecord *rec = nullptr; //!< this tick's telemetry
-    HwConfig hint;                //!< batched-prediction slot
 
     ServeSession(const SessionSpec &sp, const ServeOptions &opt)
         : spec(sp),
@@ -58,8 +57,8 @@ struct ServeSession
                workload.params.energy),
           initial(baselineConfig(workload.l1Type)),
           policy(opt.policy, opt.tolerance),
-          ctx{opt.predictor, &policy,  opt.mode, &cost,
-              nullptr,       false,    true,     &observer},
+          ctx{opt.predictor, &policy, opt.mode, &cost,
+              nullptr,       false,   &observer},
           state(makeSessionState(initial, ctx))
     {
         // Shard journaling starts empty; the server emits the open
@@ -129,6 +128,18 @@ closeSession(ServeSession &s, const ServeOptions &opt,
     shard.metrics.merge(s.observer.metrics());
 }
 
+/**
+ * Nearest-rank `pct` (1..100) percentile of a sorted, non-empty
+ * sample: the smallest value with at least pct% of the samples at or
+ * below it.
+ */
+double
+nearestRank(const std::vector<std::uint64_t> &sorted, std::size_t pct)
+{
+    const std::size_t rank = (sorted.size() * pct + 99) / 100;
+    return static_cast<double>(sorted[rank - 1]);
+}
+
 } // namespace
 
 Result<ServeResult>
@@ -143,7 +154,6 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
                                      sp.dataset, "' (session ",
                                      sp.id, ")"));
 
-    const unsigned jobs = opt.jobs > 0 ? opt.jobs : 1;
     const std::size_t window = opt.sessions;
 
     ServeResult out;
@@ -153,7 +163,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     obs::RunObserver server;
     server.attachJournal(serverBuf);
     // Run metadata carries only replay-invariant knobs: the window
-    // and jobs settings must not leak into the merged artifacts.
+    // setting must not leak into the merged artifacts.
     server.emit(
         "serve/server", "run",
         {{"sessions",
@@ -168,10 +178,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     std::vector<std::size_t> active; //!< open sessions, id order
     std::size_t nextArrival = 0;
     std::uint64_t tick = 0;
-    obs::Histogram latency; //!< wall ns; never merged or journaled
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs > 1)
-        pool = std::make_unique<ThreadPool>(jobs);
+    std::vector<std::uint64_t> latencyNs; //!< never merged or journaled
 
     while (nextArrival < all.size() || !active.empty()) {
         // Idle fast-forward to the next arrival.
@@ -201,43 +208,22 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
 
         const std::uint64_t t0 = opt.nowNs ? opt.nowNs() : 0;
 
-        // Stage 1 (serial, session id order): fetch the telemetry of
-        // the epoch each open session just finished. EpochDb and the
-        // shared store are not thread-safe; every cache miss replays
-        // here, in a deterministic order.
+        // Fetch (session id order): the telemetry of the epoch each
+        // open session just finished. EpochDb and the shared store
+        // are not thread-safe; every cache miss replays here, in a
+        // deterministic order.
         for (std::size_t i : active) {
             ServeSession &s = *all[i];
             s.rec = &s.db.epochs(s.state.current)[s.state.epoch];
         }
 
-        // Stage 2: coalesce the tick's pending predictions into one
-        // pool batch. predict() is const and pure in (config,
-        // counters), so each hint equals what stepEpoch() would have
-        // computed inline; jobs <= 1 skips the stage entirely (exact
-        // serial path).
-        if (pool != nullptr) {
-            std::vector<std::function<void()>> tasks;
-            tasks.reserve(active.size());
-            for (std::size_t i : active) {
-                ServeSession *s = all[i].get();
-                const Predictor *p = opt.predictor;
-                tasks.push_back([s, p] {
-                    s->hint =
-                        p->predict(s->state.current, s->rec->counters);
-                });
-            }
-            pool->submitBatch(tasks);
-            pool->wait();
-        }
-
-        // Stage 3 (serial, session id order): advance each session
-        // one epoch and answer with its next configuration.
+        // Step (session id order): advance each session one epoch and
+        // answer with its next configuration.
         std::vector<std::size_t> still;
         still.reserve(active.size());
         for (std::size_t i : active) {
             ServeSession &s = *all[i];
-            stepEpoch(s.state, s.ctx, *s.rec,
-                      pool != nullptr ? &s.hint : nullptr);
+            stepEpoch(s.state, s.ctx, *s.rec);
             s.observer.emit(
                 "serve/session", "session",
                 {{"op", std::string("decision")},
@@ -249,7 +235,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
             ++out.decisions;
             ++out.epochsServed;
             if (opt.nowNs)
-                latency.observe(opt.nowNs() - t0);
+                latencyNs.push_back(opt.nowNs() - t0);
             if (s.state.epoch >= s.epochsTotal) {
                 closeSession(s, opt, server, out.outcomes[i],
                              closed[i]);
@@ -266,7 +252,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     // Merge: re-emit every shard in session id order through the
     // server journal (restamping sequence numbers) and fold the
     // per-session registries in. The result is independent of the
-    // admission schedule, window and jobs — the shards themselves
+    // admission schedule and window — the shards themselves
     // already are, by stepEpoch()'s re-entrancy contract.
     for (ClosedShard &c : closed) {
         std::istringstream in(std::move(c.journal));
@@ -283,9 +269,10 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     std::ostringstream metrics;
     server.metrics().writeText(metrics);
     out.metricsText = metrics.str();
-    if (opt.nowNs) {
-        out.decisionP50Ms = latency.quantile(0.5) / 1e6;
-        out.decisionP99Ms = latency.quantile(0.99) / 1e6;
+    if (!latencyNs.empty()) {
+        std::sort(latencyNs.begin(), latencyNs.end());
+        out.decisionP50Ms = nearestRank(latencyNs, 50) / 1e6;
+        out.decisionP99Ms = nearestRank(latencyNs, 99) / 1e6;
     }
     return out;
 }

@@ -7,21 +7,20 @@
  * admitted in arrival order up to a concurrency window, and every
  * scheduling tick advances each open session by one epoch through the
  * SparseAdapt loop (telemetry -> prediction -> policy -> reconfig).
- * The decision-tree predictions pending across sessions in one tick
- * are coalesced into a single batch on the shared thread pool — the
- * prediction is a pure function of (configuration, counters), so the
- * batched result is the hint stepEpoch() would have computed itself.
+ * A tick has two stages, both serial in session id order: admit due
+ * arrivals and fetch each open session's telemetry, then step each
+ * session through stepEpoch() and answer with its next configuration.
+ * The server creates no threads.
  *
  * Determinism contract (DESIGN.md section 14): per-session pipelines
  * are fully isolated (own EpochDb, cost model, journal shard, metric
  * registry), every shared-structure access (epoch database fetches,
- * the optional epoch store, the final merge) runs serially in session
- * id order, and the merged journal/metrics are re-emitted in session
- * id order after the run — so the merged artifacts are byte-identical
- * for ANY --sessions window and ANY --jobs setting, including fully
- * serial replay. Concurrency-dependent observations (tick counts,
- * wall-clock decision latency) are returned in ServeResult only and
- * never enter the merged journal or registry.
+ * the optional epoch store, the final merge) runs in session id order,
+ * and the merged journal/metrics are re-emitted in session id order
+ * after the run — so the merged artifacts are byte-identical for ANY
+ * --sessions window, including fully serial replay. Window-dependent
+ * observations (tick counts, wall-clock decision latency) are returned
+ * in ServeResult only and never enter the merged journal or registry.
  *
  * A session's epoch database replays no further than the session's
  * epoch budget (SessionSpec::maxEpochs), the most it can serve, and a
@@ -54,10 +53,10 @@ struct ServeOptions
     unsigned sessions = 0;
 
     /**
-     * Prediction-batch parallelism: jobs <= 1 computes every
-     * prediction inline in stepEpoch() (the exact serial path, no
-     * pool); higher values precompute the tick's pending predictions
-     * on a ThreadPool and hand them to stepEpoch() as hints.
+     * Ignored: runServe() creates no threads. Batched prediction on
+     * worker threads measured slower than inline prediction and was
+     * removed; the field stays because perfbench/bench.cc still sets
+     * it.
      */
     unsigned jobs = 1;
 
@@ -77,7 +76,7 @@ struct ServeOptions
      * store's on-disk byte layout then depends on the admission
      * schedule; run EpochStore::compact() afterwards to get the
      * canonical sorted form that is byte-identical across any
-     * --sessions/--jobs (the CLI and the serving tests do).
+     * --sessions window (the CLI and the serving tests do).
      */
     store::EpochStore *store = nullptr;
 
@@ -117,7 +116,10 @@ struct ServeResult
     std::uint64_t epochsServed = 0; //!< total epochs across sessions
     std::uint64_t decisions = 0;    //!< reconfiguration answers issued
 
-    /** Wall-clock decision latency quantiles; 0 without a clock. */
+    /**
+     * Wall-clock decision latency, nearest-rank quantiles of every
+     * decision's sample; 0 without a clock.
+     */
     double decisionP50Ms = 0.0;
     double decisionP99Ms = 0.0;
 

@@ -3,13 +3,15 @@
  * The serving contract: traffic-script round-trips, re-entrant
  * session interleaving, and the byte-identity of the multi-tenant
  * server's merged artifacts (journal, metrics, compacted store) for
- * any admission window and any prediction-batch job count — including
- * after a SIGKILL lands mid-replay and a warm rerun finishes the job.
+ * any admission window — including after a SIGKILL lands mid-replay
+ * and a warm rerun finishes the job — and its exact decision-latency
+ * quantiles.
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -65,12 +67,10 @@ testScript(std::size_t sessions = 6)
 }
 
 serve::ServeOptions
-testOptions(unsigned window, unsigned jobs,
-            store::EpochStore *st = nullptr)
+testOptions(unsigned window, store::EpochStore *st = nullptr)
 {
     serve::ServeOptions so;
     so.sessions = window;
-    so.jobs = jobs;
     so.scale = kScale;
     so.predictor = &sharedPredictor();
     so.store = st;
@@ -97,11 +97,11 @@ fileBytes(const std::string &path)
 /** Replay into a fresh store at `path`, flush + compact it. */
 serve::ServeResult
 replayWithStore(const serve::TrafficScript &script, unsigned window,
-                unsigned jobs, const std::string &path)
+                const std::string &path)
 {
     store::EpochStore st;
     EXPECT_TRUE(st.open(path).isOk());
-    auto r = serve::runServe(script, testOptions(window, jobs, &st));
+    auto r = serve::runServe(script, testOptions(window, &st));
     EXPECT_TRUE(r.isOk()) << r.message();
     st.flush();
     EXPECT_TRUE(st.compact().isOk());
@@ -191,7 +191,7 @@ TEST(SessionStep, InterleavedSessionsMatchSequentialRuns)
               policy(PolicyKind::Hybrid, 0.4),
               ctx{&sharedPredictor(), &policy,
                   OptMode::EnergyEfficient, &cost, nullptr, false,
-                  true, nullptr},
+                  nullptr},
               state(makeSessionState(baselineConfig(wl.l1Type), ctx)),
               total(std::min(spec.maxEpochs, db.numEpochs()))
         {
@@ -247,7 +247,7 @@ TEST(SessionStep, InterleavedSessionsMatchSequentialRuns)
 TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
 {
     const serve::TrafficScript script = testScript(4);
-    auto served = serve::runServe(script, testOptions(2, 1));
+    auto served = serve::runServe(script, testOptions(2));
     ASSERT_TRUE(served.isOk()) << served.message();
     const serve::ServeResult &res = served.value();
     ASSERT_EQ(res.outcomes.size(), script.sessions.size());
@@ -280,7 +280,7 @@ TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
         const Policy policy(PolicyKind::Hybrid, 0.4);
         const SessionContext ctx{&sharedPredictor(), &policy,
                                  OptMode::EnergyEfficient, &cost,
-                                 nullptr, false, true, nullptr};
+                                 nullptr, false, nullptr};
         const HwConfig initial = baselineConfig(wl.l1Type);
         SessionState state = makeSessionState(initial, ctx);
         const std::size_t n = db.numEpochs();
@@ -313,33 +313,31 @@ TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
 TEST(Serve, RejectsBadInput)
 {
     serve::TrafficScript script = testScript(1);
-    serve::ServeOptions so = testOptions(0, 1);
+    serve::ServeOptions so = testOptions(0);
     so.predictor = nullptr;
     EXPECT_FALSE(serve::runServe(script, so).isOk());
 
     script.sessions[0].dataset = "NOPE";
     EXPECT_FALSE(
-        serve::runServe(script, testOptions(0, 1)).isOk());
+        serve::runServe(script, testOptions(0)).isOk());
 }
 
-TEST(Serve, MergedArtifactsAreByteIdenticalAcrossWindowAndJobs)
+TEST(Serve, MergedArtifactsAreByteIdenticalAcrossWindows)
 {
     const serve::TrafficScript script = testScript(4);
 
-    auto ref = serve::runServe(script, testOptions(1, 1));
+    auto ref = serve::runServe(script, testOptions(1));
     ASSERT_TRUE(ref.isOk()) << ref.message();
     ASSERT_FALSE(ref.value().journalText.empty());
     ASSERT_EQ(ref.value().outcomes.size(), 4u);
 
-    const std::vector<std::pair<unsigned, unsigned>> variants = {
-        {4, 2}, {4, 2}, {2, 3}, {0, 4}};
-    for (const auto &[window, jobs] : variants) {
-        auto got = serve::runServe(script, testOptions(window, jobs));
+    for (const unsigned window : {4u, 4u, 2u, 0u}) {
+        auto got = serve::runServe(script, testOptions(window));
         ASSERT_TRUE(got.isOk()) << got.message();
         EXPECT_EQ(got.value().journalText, ref.value().journalText)
-            << "window " << window << " jobs " << jobs;
+            << "window " << window;
         EXPECT_EQ(got.value().metricsText, ref.value().metricsText)
-            << "window " << window << " jobs " << jobs;
+            << "window " << window;
         EXPECT_EQ(got.value().epochsServed,
                   ref.value().epochsServed);
         EXPECT_EQ(got.value().decisions, ref.value().decisions);
@@ -352,10 +350,39 @@ TEST(Serve, MergedArtifactsAreByteIdenticalAcrossWindowAndJobs)
     }
 }
 
+/*
+ * Decision latency is reported as exact nearest-rank quantiles of the
+ * raw samples. With a window of one, every tick reads the clock twice
+ * (tick start, then the one decision), so a clock returning k^2 us on
+ * its k-th call makes the i-th decision take (4i + 1) us.
+ */
+TEST(Serve, DecisionLatencyQuantilesAreExactNearestRank)
+{
+    const serve::TrafficScript script = testScript(3);
+    serve::ServeOptions so = testOptions(1);
+    std::uint64_t calls = 0;
+    so.nowNs = [&calls] {
+        const std::uint64_t k = calls++;
+        return k * k * 1000;
+    };
+    auto r = serve::runServe(script, so);
+    ASSERT_TRUE(r.isOk()) << r.message();
+    const std::uint64_t n = r.value().epochsServed;
+    ASSERT_GT(n, 2u);
+    ASSERT_EQ(calls, 2 * n);
+
+    auto wantMs = [n](std::uint64_t pct) {
+        const std::uint64_t rank = (n * pct + 99) / 100;
+        return static_cast<double>((4 * (rank - 1) + 1) * 1000) / 1e6;
+    };
+    EXPECT_EQ(r.value().decisionP50Ms, wantMs(50));
+    EXPECT_EQ(r.value().decisionP99Ms, wantMs(99));
+}
+
 TEST(Serve, MergedJournalPassesTheValidator)
 {
     const serve::TrafficScript script = testScript(3);
-    auto r = serve::runServe(script, testOptions(2, 2));
+    auto r = serve::runServe(script, testOptions(2));
     ASSERT_TRUE(r.isOk()) << r.message();
 
     std::istringstream in(r.value().journalText);
@@ -390,11 +417,11 @@ TEST(Serve, SharedStoreCompactsToIdenticalBytes)
 
     const std::string serial = tempPath("serve_serial.store");
     const serve::ServeResult ref =
-        replayWithStore(script, 1, 1, serial);
+        replayWithStore(script, 1, serial);
 
     const std::string wide = tempPath("serve_wide.store");
     const serve::ServeResult got =
-        replayWithStore(script, 0, 3, wide);
+        replayWithStore(script, 0, wide);
 
     EXPECT_EQ(got.journalText, ref.journalText);
     EXPECT_EQ(got.metricsText, ref.metricsText);
@@ -404,7 +431,7 @@ TEST(Serve, SharedStoreCompactsToIdenticalBytes)
 
     // A warm rerun on the surviving store changes nothing.
     const serve::ServeResult warm =
-        replayWithStore(script, 2, 2, wide);
+        replayWithStore(script, 2, wide);
     EXPECT_EQ(warm.journalText, ref.journalText);
     EXPECT_EQ(warm.metricsText, ref.metricsText);
     EXPECT_EQ(fileBytes(wide), canonical);
@@ -423,7 +450,7 @@ TEST(ServeCrash, Kill9MidReplayThenWarmRerunMatchesCold)
 
     const std::string cold = tempPath("serve_cold.store");
     const serve::ServeResult ref =
-        replayWithStore(script, 2, 2, cold);
+        replayWithStore(script, 2, cold);
     const std::string canonical = fileBytes(cold);
     ASSERT_FALSE(canonical.empty());
 
@@ -439,7 +466,7 @@ TEST(ServeCrash, Kill9MidReplayThenWarmRerunMatchesCold)
             if (!st.open(path).isOk())
                 std::_Exit(2);
             auto r =
-                serve::runServe(script, testOptions(2, 2, &st));
+                serve::runServe(script, testOptions(2, &st));
             if (!r.isOk())
                 std::_Exit(3);
             st.flush();
@@ -460,7 +487,7 @@ TEST(ServeCrash, Kill9MidReplayThenWarmRerunMatchesCold)
         // Warm rerun on the survivor: everything must converge to
         // the cold run, byte for byte.
         const serve::ServeResult warm =
-            replayWithStore(script, 3, 2, path);
+            replayWithStore(script, 3, path);
         EXPECT_EQ(warm.journalText, ref.journalText)
             << "trial " << trial;
         EXPECT_EQ(warm.metricsText, ref.metricsText)

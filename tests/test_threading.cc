@@ -1,19 +1,22 @@
 /**
  * @file
- * Units for the thread pool and parallelFor of src/common/threading:
- * task completion, the jobs<=1 exact-serial contract, bounded-queue
- * backpressure, and first-exception propagation.
+ * Units for parallelFor and defaultJobs of src/common/threading:
+ * index coverage, the jobs<=1 exact-serial contract, the worker-count
+ * bound, and first-exception propagation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/threading.hh"
@@ -94,129 +97,41 @@ TEST(ParallelFor, PropagatesExceptionParallel)
     EXPECT_GE(ran.load(), 1u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+TEST(ParallelFor, UsesAtMostMinJobsNThreads)
 {
-    std::atomic<int> done{0};
-    ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&] { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPool, BoundedQueueStillCompletesAllTasks)
-{
-    std::atomic<int> done{0};
-    ThreadPool pool(2, /*queue_cap=*/2);
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, WaitRethrowsFirstExceptionThenRecovers)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("first"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-
-    // The error was consumed; the pool keeps working afterwards.
-    std::atomic<int> done{0};
-    pool.submit([&] { ++done; });
-    EXPECT_NO_THROW(pool.wait());
-    EXPECT_EQ(done.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingWork)
-{
-    std::atomic<int> done{0};
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] { ++done; });
-        // No wait(): the destructor must finish the queue first.
+    for (const auto &[n, jobs] :
+         std::vector<std::pair<std::size_t, unsigned>>{
+             {100, 3}, {5, 8}, {2, 4}}) {
+        std::mutex mu;
+        std::set<std::thread::id> seen;
+        parallelFor(n, jobs, [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            std::lock_guard<std::mutex> lock(mu);
+            seen.insert(std::this_thread::get_id());
+        });
+        EXPECT_GE(seen.size(), 1u);
+        EXPECT_LE(seen.size(), std::min<std::size_t>(jobs, n))
+            << "n " << n << " jobs " << jobs;
     }
-    EXPECT_EQ(done.load(), 32);
 }
 
-TEST(ThreadPool, SubmitBatchRunsEveryTask)
+TEST(ParallelFor, NoBodyRunsAfterItThrows)
 {
-    std::atomic<int> done{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 64; ++i)
-        tasks.emplace_back([&] { ++done; });
-    ThreadPool pool(4);
-    pool.submitBatch(tasks);
-    pool.wait();
-    EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPool, SubmitBatchLargerThanQueueCapCompletes)
-{
-    // The batch must chunk through a queue it cannot fit into at once.
-    std::atomic<int> done{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 200; ++i)
-        tasks.emplace_back([&] { ++done; });
-    ThreadPool pool(2, /*queue_cap=*/3);
-    pool.submitBatch(tasks);
-    pool.wait();
-    EXPECT_EQ(done.load(), 200);
-}
-
-TEST(ThreadPool, SubmitBatchEmptyIsANoOp)
-{
-    ThreadPool pool(2);
-    std::vector<std::function<void()>> tasks;
-    pool.submitBatch(tasks);
-    EXPECT_NO_THROW(pool.wait());
-}
-
-TEST(ThreadPool, SubmitBatchPropagatesFirstException)
-{
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 16; ++i)
-        tasks.emplace_back([i] {
-            if (i == 7)
+    // Every worker joins before the exception reaches the caller, so
+    // the body count is final the moment the catch block runs.
+    std::atomic<std::size_t> ran{0};
+    std::size_t at_catch = 0;
+    try {
+        parallelFor(1000, 4, [&](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+            ++ran;
+            if (i == 10)
                 throw std::runtime_error("boom");
         });
-    ThreadPool pool(3);
-    pool.submitBatch(tasks);
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, ShutdownWhileBatchQueuedDrainsEverything)
-{
-    // The server drain path: the pool is destroyed while a just-
-    // submitted batch is still mostly queued. Slow tasks keep the
-    // queue full so the destructor runs with work outstanding; every
-    // task must still execute exactly once.
-    std::atomic<int> done{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 48; ++i)
-        tasks.emplace_back([&] {
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-            ++done;
-        });
-    {
-        ThreadPool pool(2, /*queue_cap=*/4);
-        pool.submitBatch(tasks);
-        // No wait(): destruction races the queued batch.
+        FAIL() << "no exception";
+    } catch (const std::runtime_error &) {
+        at_catch = ran.load();
     }
-    EXPECT_EQ(done.load(), 48);
-}
-
-TEST(ThreadPool, SubmitBatchInterleavesWithSubmit)
-{
-    std::atomic<int> done{0};
-    ThreadPool pool(3, /*queue_cap=*/2);
-    for (int round = 0; round < 5; ++round) {
-        pool.submit([&] { ++done; });
-        std::vector<std::function<void()>> tasks;
-        for (int i = 0; i < 10; ++i)
-            tasks.emplace_back([&] { ++done; });
-        pool.submitBatch(tasks);
-    }
-    pool.wait();
-    EXPECT_EQ(done.load(), 55);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(ran.load(), at_catch);
 }

@@ -46,8 +46,8 @@ ctest --test-dir "$build_dir" -L store --output-on-failure \
     -j "$(nproc)"
 
 # Serving gate: the multi-tenant control server's contract — merged
-# journal/metrics/compacted store byte-identical at any
-# --sessions/--jobs, the session-interleaving regression, and the
+# journal/metrics/compacted store byte-identical at any --sessions
+# window, the session-interleaving regression, and the
 # kill-9-mid-replay drill — under the same sanitized build.
 echo "== ctest -L serving"
 ctest --test-dir "$build_dir" -L serving --output-on-failure \
@@ -109,7 +109,7 @@ fi
 
 # ThreadSanitizer gate for the parallel sweep engine: TSan excludes
 # ASan, so it gets its own build tree, and only the threading- and
-# store-labeled suites (thread pool units, jobs=N determinism and the
+# store-labeled suites (parallelFor units, jobs=N determinism and the
 # kill-and-rerun drill of a jobs=4 sweep) need rebuilding.
 tsan_dir="${2:-$repo_root/build-tsan}"
 echo "== configure ($tsan_dir: SADAPT_SANITIZE=thread SADAPT_WERROR=ON)"

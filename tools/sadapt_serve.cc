@@ -5,12 +5,12 @@
  * self-check the serve determinism contract.
  *
  *   sadapt_serve generate --sessions 16 --seed 7 --out traffic.txt
- *   sadapt_serve replay --script traffic.txt --sessions 4 --jobs 2 \
+ *   sadapt_serve replay --script traffic.txt --sessions 4 \
  *                       --journal serve.jsonl --metrics serve.metrics
- *   sadapt_serve selfcheck --script traffic.txt --sessions 4 --jobs 2
+ *   sadapt_serve selfcheck --script traffic.txt --sessions 4
  *
  * replay writes the merged journal/metrics artifacts, which are
- * byte-identical for any --sessions/--jobs (DESIGN.md section 14);
+ * byte-identical for any --sessions window (DESIGN.md section 14);
  * selfcheck proves it on the spot by comparing a concurrent replay
  * against the fully serial one and exits non-zero on any mismatch.
  * Without --model, a small deterministic built-in model is trained
@@ -49,7 +49,6 @@ struct CliOptions
     double tolerance = 0.4;
     double scale = 0.12;
     std::size_t sessions = 16; //!< generate: count; replay: window
-    unsigned jobs = 1;
     OptMode mode = OptMode::EnergyEfficient;
     std::uint64_t seed = 7;
 };
@@ -72,8 +71,6 @@ usage(const char *argv0)
         "                       replay: max concurrently open "
         "sessions\n"
         "                       (0 = no admission window)\n"
-        "  --jobs <n>           prediction-batch workers (default 1;\n"
-        "                       artifacts are identical for any n)\n"
         "  --seed <n>           generate: script seed (default 7)\n"
         "  --scale <f>          dataset scale (default 0.12)\n"
         "  --mode ee|pp         objective (default ee)\n"
@@ -112,9 +109,6 @@ parse(int argc, char **argv)
             o.outFile = need(i);
         } else if (arg == "--sessions") {
             o.sessions = std::strtoull(need(i), nullptr, 10);
-        } else if (arg == "--jobs") {
-            o.jobs = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
         } else if (arg == "--seed") {
             o.seed = std::strtoull(need(i), nullptr, 10);
         } else if (arg == "--scale") {
@@ -223,7 +217,6 @@ serveOptions(const CliOptions &o, const Predictor &pred,
 {
     serve::ServeOptions so;
     so.sessions = static_cast<unsigned>(o.sessions);
-    so.jobs = o.jobs;
     so.scale = o.scale;
     so.predictor = &pred;
     so.policy = policyKindOf(o.policy);
@@ -278,7 +271,7 @@ runReplay(const CliOptions &o)
     if (storePtr != nullptr) {
         epochStore.flush();
         // Canonical sorted form: byte-identical across any admission
-        // schedule / --sessions / --jobs (DESIGN.md section 14).
+        // schedule / --sessions window (DESIGN.md section 14).
         const Status st = epochStore.compact();
         if (!st.isOk())
             fatal("--store: " + st.message());
@@ -320,7 +313,6 @@ runSelfcheck(const CliOptions &o)
 
     serve::ServeOptions serial = concurrent;
     serial.sessions = 1;
-    serial.jobs = 1;
     auto b = serve::runServe(script, serial);
     if (!b.isOk())
         fatal(b.message());
@@ -337,9 +329,9 @@ runSelfcheck(const CliOptions &o)
         ok = false;
     }
     if (ok)
-        std::printf("selfcheck ok: sessions=%zu jobs=%u replay is "
+        std::printf("selfcheck ok: sessions=%zu replay is "
                     "byte-identical to serial\n",
-                    o.sessions, o.jobs);
+                    o.sessions);
     return ok ? 0 : 1;
 }
 
