@@ -67,8 +67,7 @@ main()
     for (const char *id : {"P3", "R10", "R14"}) {
         Workload wl = suiteSpMSpV(id, MemType::Cache);
         EpochDb db(wl);
-        ReconfigCostModel cost(wl.params.shape,
-                               wl.params.memBandwidth);
+        ReconfigCostModel cost(wl.params);
         const Policy policy(PolicyKind::Hybrid, 0.4);
         const HwConfig initial = baselineConfig();
         const auto baseline = evaluateSchedule(

@@ -39,8 +39,7 @@ main()
         Workload wl = suiteSpMSpV(id, MemType::Cache);
         EpochDb db(wl);
         Transmuter sim(wl.params);
-        ReconfigCostModel cost(wl.params.shape,
-                               wl.params.memBandwidth);
+        ReconfigCostModel cost(wl.params);
         ConfigSpace space(MemType::Cache);
         Rng rng(3);
         std::vector<HwConfig> candidates = space.sample(10, rng);

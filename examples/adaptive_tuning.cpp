@@ -42,8 +42,7 @@ main()
     predictor.train(buildTrainingSet(topts), train_rng);
 
     EpochDb db(workload);
-    ReconfigCostModel cost(workload.params.shape,
-                           workload.params.memBandwidth);
+    ReconfigCostModel cost(workload.params);
     const Policy policy(PolicyKind::Hybrid, 0.4);
     HwConfig current = baselineConfig();
 

@@ -12,8 +12,7 @@ Comparison::Comparison(const Workload &workload,
                        const Predictor *predictor,
                        const ComparisonOptions &options)
     : wl(workload), pred(predictor), opts(options), dbV(workload),
-      cost(workload.params.shape, workload.params.memBandwidth,
-           workload.params.energy),
+      cost(workload.params),
       initial(baselineConfig(workload.l1Type))
 {
     if (opts.observer != nullptr)

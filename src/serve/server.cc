@@ -53,8 +53,7 @@ struct ServeSession
           workload(buildSessionWorkload(sp, opt.scale)),
           db(workload, ColumnarTrace::fromTrace(workload.trace),
              sp.maxEpochs),
-          cost(workload.params.shape, workload.params.memBandwidth,
-               workload.params.energy),
+          cost(workload.params),
           initial(baselineConfig(workload.l1Type)),
           policy(opt.policy, opt.tolerance),
           ctx{opt.predictor, &policy, opt.mode, &cost,

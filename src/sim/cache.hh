@@ -47,7 +47,7 @@ class CacheBank
      * Defined inline (as are install()/contains()): these run once per
      * memory op in the replay inner loop and the libraries are built
      * without LTO, so keeping them in the header is what lets the
-     * compiler inline them into the Transmuter's dispatch segments.
+     * compiler inline them into the Transmuter's replay loop.
      */
     AccessResult
     access(Addr addr, bool write)
@@ -55,15 +55,13 @@ class CacheBank
         const Addr line_addr = addr / lineSize;
         const std::uint32_t base = setIndex(line_addr) * assocV;
         bumpTick();
-        for (std::uint32_t w = 0; w < assocV; ++w) {
-            if (tags[base + w] == line_addr) {
-                useTick[base + w] = tick;
-                if (write)
-                    dirtyB[base + w] = 1;
-                return {true, false, 0};
-            }
-        }
-        return fill(line_addr, write);
+        const std::uint32_t w = findWay(line_addr, base);
+        if (w == assocV)
+            return fill(line_addr, write);
+        useTick[base + w] = tick;
+        if (write)
+            dirtyB[base + w] = 1;
+        return {true, false, 0};
     }
 
     /**
@@ -99,12 +97,7 @@ class CacheBank
     contains(Addr addr) const
     {
         const Addr line_addr = addr / lineSize;
-        const std::uint32_t base = setIndex(line_addr) * assocV;
-        for (std::uint32_t w = 0; w < assocV; ++w) {
-            if (tags[base + w] == line_addr)
-                return true;
-        }
-        return false;
+        return findWay(line_addr, setIndex(line_addr) * assocV) != assocV;
     }
 
     /**
@@ -165,6 +158,22 @@ class CacheBank
     setIndex(Addr line_addr) const
     {
         return static_cast<std::uint32_t>(line_addr) & setMask;
+    }
+
+    /**
+     * The way of set `base` holding line_addr, or assocV on a miss.
+     * A select over every way with no early exit, so the scan
+     * compiles to compares and conditional moves instead of one
+     * data-dependent branch per way. A line sits in at most one way
+     * of its set, so the last match is the only match.
+     */
+    std::uint32_t
+    findWay(Addr line_addr, std::uint32_t base) const
+    {
+        std::uint32_t way = assocV;
+        for (std::uint32_t w = 0; w < assocV; ++w)
+            way = tags[base + w] == line_addr ? w : way;
+        return way;
     }
 
     /**

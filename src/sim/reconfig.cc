@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "sim/transmuter.hh"
 
 namespace sadapt {
 
@@ -27,6 +28,11 @@ ReconfigCostModel::ReconfigCostModel(SystemShape shape,
     : shapeV(shape), memBw(mem_bandwidth), ep(energy), sram(energy)
 {
     SADAPT_ASSERT(memBw > 0.0, "bandwidth must be positive");
+}
+
+ReconfigCostModel::ReconfigCostModel(const RunParams &params)
+    : ReconfigCostModel(params.shape, params.memBandwidth, params.energy)
+{
 }
 
 bool

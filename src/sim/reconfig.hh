@@ -22,6 +22,8 @@
 
 namespace sadapt {
 
+struct RunParams;
+
 /**
  * The configuration a device lands in when a reconfiguration command
  * from `from` to `to` is only partially applied: parameters whose bit
@@ -61,7 +63,10 @@ class ReconfigCostModel
      * @param energy energy model constants.
      */
     ReconfigCostModel(SystemShape shape, double mem_bandwidth,
-                      const EnergyParams &energy = EnergyParams{});
+                      const EnergyParams &energy);
+
+    /** The cost model of the system a workload's RunParams describe. */
+    explicit ReconfigCostModel(const RunParams &params);
 
     /**
      * Cost of switching from one configuration to another.

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "sim/cache.hh"
+#include "sim/event_queue.hh"
 #include "sim/faults.hh"
 #include "sim/memory.hh"
 #include "sim/prefetcher.hh"
@@ -666,99 +667,36 @@ injectTelemetryFaults(FaultInjector *faults, EpochRecord &rec)
     }
 }
 
-/**
- * Flat four-ary min-heap of (cycle, core) events. The replay
- * contract only depends on the pop order — the strict total order on
- * the pairs (core ids are unique, so no two entries compare equal) —
- * and every correct heap yields that same sequence; arity changes
- * sift depth, not order. Four children per node halve the tree depth
- * a binary heap would need for the core counts involved, and each
- * sift step compares one contiguous group of four 16-byte entries.
- */
-struct EventHeap
-{
-    using Entry = std::pair<Cycles, std::uint32_t>;
-
-    std::vector<Entry> v;
-
-    bool empty() const { return v.empty(); }
-    const Entry &top() const { return v.front(); }
-    void reserve(std::size_t n) { v.reserve(n); }
-
-    void
-    push(Entry e)
-    {
-        std::size_t i = v.size();
-        v.push_back(e);
-        while (i > 0) {
-            const std::size_t p = (i - 1) >> 2;
-            if (!(e < v[p]))
-                break;
-            v[i] = v[p];
-            i = p;
-        }
-        v[i] = e;
-    }
-
-    void
-    pop()
-    {
-        const Entry last = v.back();
-        v.pop_back();
-        const std::size_t n = v.size();
-        if (n == 0)
-            return;
-        std::size_t i = 0;
-        for (;;) {
-            const std::size_t c0 = 4 * i + 1;
-            if (c0 >= n)
-                break;
-            std::size_t m = c0;
-            const std::size_t c_end = std::min(c0 + 4, n);
-            for (std::size_t c = c0 + 1; c < c_end; ++c)
-                if (v[c] < v[m])
-                    m = c;
-            if (!(v[m] < last))
-                break;
-            v[i] = v[m];
-            i = m;
-        }
-        v[i] = last;
-    }
-};
-
 } // namespace
 
 /*
- * The replay loop below is the SoA rewrite of the historical
- * pop-execute-push event loop, and must stay *bit-identical* to it:
- * same global op execution order, hence the same integer timing and
- * the same floating-point accumulation order. The old loop popped
- * (cycle, core) from the min-heap, executed ONE op, and pushed the
- * core back. This one pops a core and keeps executing its ops inline
- * — a "run" — for as long as the core provably remains the earliest
- * event, i.e. while (t, core) < heap.top() under the exact heap pair
- * ordering (core ids are unique, so full ties are impossible and the
- * comparison reproduces the heap's pop order precisely). Within a run
- * the op columns are consumed as maximal same-kind segments so the
- * kind dispatch, the per-op bounds asserts, the stream lookups and
- * the heap traffic are all hoisted out of the per-op path.
+ * The replay loop. Each step executes ONE op of the core with the
+ * earliest pending event, ties going to the lower core id, and hands
+ * that core's next event back to the EventTree (sim/event_queue.hh).
+ * This global op order fixes every integer timing and every
+ * floating-point accumulation order, so it is the engine's whole
+ * determinism contract: tests/test_replay_golden.cc pins its output.
  *
- * Exactness invariants the run structure relies on:
- *  - t is monotone non-decreasing within a run, so max_cycle can be
- *    flushed once at every run exit instead of per op.
- *  - The epoch-close predicate (ac.gpeFpOps >= target) only changes
- *    when a GPE executes an FP-kind or SPM op, and the old loop
- *    closed the epoch immediately at the crossing op; checking after
- *    exactly those ops is therefore equivalent to checking after
- *    every op. Phase ops skipped the check in the old loop (its
- *    `continue`) and still do.
- *  - At an epoch close the old loop had already pushed the core back
- *    into the heap; the run path pushes (t, core) BEFORE closing so a
- *    reconfiguration rescales an identical heap.
- *  - corePhase[core] only changes on Phase ops and Phase ops end the
- *    run, so the per-phase accumulator references hoisted at run
- *    start stay correct for the whole run.
+ * The tree keeps one packed key per core, `cycle << coreBits | core`
+ * (7 core bits for the 4x16 shape), so the order is one unsigned
+ * compare and a step costs one leaf-to-root walk. EventTree::pack()
+ * panics before a cycle could overflow into the core bits, the way
+ * CacheBank::bumpTick() guards its LRU clock. A core parked at a
+ * barrier or out of ops holds EventTree::idle. Barrier release, the
+ * step's own reschedule and the reconfiguration rescale all go through
+ * EventTree::set().
+ *
+ * There is no multi-op lookahead. A core's next op could only run
+ * without consulting the queue while the core is still the earliest
+ * event, and over the candidate replays of fig08-style sweeps 95% of
+ * such runs were a single op, so batching saved almost no queue
+ * traffic and cost a per-run setup.
+ *
+ * The epoch closes at the GPE op whose FP-op (or SPM word) count
+ * reaches the epoch target, right after that core's next event is
+ * set, so a reconfiguration rescales every pending event. A core's
+ * local cycle lives only in its pending key: a parked core gets the
+ * barrier's release cycle and a finished core is never read again.
  */
 SimResult
 Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
@@ -788,15 +726,12 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
     const std::uint32_t num_gpes = eng.numGpes;
     const StreamView *streams = trace.streams.data();
     std::vector<std::size_t> cursor(num_cores, 0);
-    std::vector<Cycles> core_cycle(num_cores, 0);
 
-    using HeapEntry = EventHeap::Entry;
-    EventHeap heap;
-    heap.reserve(num_cores);
+    EventTree events(num_cores);
     std::uint32_t participants = 0;
     for (std::uint32_t c = 0; c < num_cores; ++c) {
         if (streams[c].size != 0) {
-            heap.push({0, c});
+            events.set(c, events.pack(0, c));
             ++participants;
         }
     }
@@ -811,223 +746,96 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
 
     const std::uint64_t epoch_fp_target =
         paramsV.epochFpOps * eng.numGpes;
-    std::vector<HeapEntry> rescaled; //!< heap-rebuild scratch
+    const Joules int_e = eng.rp.energy.intOpEnergy;
+    const Joules fp_e = eng.rp.energy.fpOpEnergy;
     std::uint32_t epoch_index = 0;
     Cycles epoch_start = 0;
     Cycles max_cycle = 0;
 
-    while (!heap.empty()) {
-        const Cycles start_t = heap.top().first;
-        const std::uint32_t core = heap.top().second;
-        heap.pop();
+    for (std::uint64_t key; (key = events.min()) != EventTree::idle;) {
+        const std::uint32_t core = events.coreOf(key);
+        Cycles t = events.cycleOf(key);
         const StreamView &sv = streams[core];
-        const std::uint8_t *kinds = sv.kind;
-        const Addr *addrs = sv.addr;
-        const std::uint16_t *pcs = sv.pc;
-        const std::size_t n = sv.size;
-        std::size_t i = cursor[core];
-        Cycles t = start_t;
+        const std::size_t i = cursor[core]++;
+        const std::uint8_t kb = sv.kind[i];
+        const OpKind kind = static_cast<OpKind>(kb);
         const bool is_gpe = core < num_gpes;
-        const bool gpe_cache = is_gpe && !eng.spmMode;
-        const std::uint32_t tile =
-            is_gpe ? core / eng.gpesPerTile : core - num_gpes;
-        std::uint64_t &ops_ctr = is_gpe ? eng.ac.gpeOps : eng.ac.lcpOps;
-        std::uint64_t &fp_ctr =
-            is_gpe ? eng.ac.gpeFpOps : eng.ac.lcpFpOps;
-        std::uint64_t &phase_ops =
-            eng.epochOpsByPhase[eng.corePhase[core]];
-        double &phase_fp = eng.epochFpByPhase[eng.corePhase[core]];
-        const Joules int_e = eng.rp.energy.intOpEnergy;
-        const Joules fp_e = eng.rp.energy.fpOpEnergy;
+        ++eng.ac.opKind[kb];
+        ++eng.epochOpsByPhase[eng.corePhase[core]];
 
-        // Register-carried per-run accumulators. The kind column is
-        // uint8_t, which may alias anything, so without these locals
-        // the compiler must spill and reload every accumulator around
-        // each kinds[i] load. The double chains below append to them
-        // op by op in the original order (never n*e at once), so the
-        // write-back at the run exit is bit-identical to updating the
-        // members directly. Nothing inside the run loop reads the
-        // member copies (closeEpoch runs only after the write-back).
-        double ce = eng.ac.coreE;
-        double pf = phase_fp;
-        std::uint64_t fpc = fp_ctr;
-
-        // The heap is untouched for the entire run (popped above,
-        // pushed again only at the run exit or inside the Phase
-        // branch, which leaves immediately), so the rival entry is a
-        // run constant and still_min() compares against registers.
-        const bool rivals = !heap.empty();
-        const Cycles rival_t = rivals ? heap.top().first : 0;
-        const std::uint32_t rival_core =
-            rivals ? heap.top().second : 0;
-        auto still_min = [&](Cycles tt) {
-            return !rivals || tt < rival_t ||
-                (tt == rival_t && core < rival_core);
-        };
-
-        bool do_close = false;
-        bool at_barrier = false;
-        for (;;) {
-            const std::uint8_t kb = kinds[i];
-            const OpKind kind = static_cast<OpKind>(kb);
-            if (kind == OpKind::Phase) {
-                ++eng.ac.opKind[kb];
-                ++phase_ops;
-                const auto pid = static_cast<std::size_t>(addrs[i]);
-                eng.corePhase[core] = static_cast<int>(addrs[i]);
-                ++i;
-                cursor[core] = i;
-                core_cycle[core] = t;
-                max_cycle = std::max(max_cycle, t);
-                barrier_time[pid] = std::max(barrier_time[pid], t);
-                if (++barrier_arrivals[pid] == participants) {
-                    const Cycles release = barrier_time[pid];
-                    max_cycle = std::max(max_cycle, release);
-                    core_cycle[core] = release;
-                    if (i < n)
-                        heap.push({release, core});
-                    for (std::uint32_t w : barrier_waiters[pid]) {
-                        core_cycle[w] = release;
-                        if (cursor[w] < streams[w].size)
-                            heap.push({release, w});
-                    }
-                } else {
-                    barrier_waiters[pid].push_back(core);
+        if (kind == OpKind::Phase) {
+            const auto pid = static_cast<std::size_t>(sv.addr[i]);
+            eng.corePhase[core] = static_cast<int>(sv.addr[i]);
+            max_cycle = std::max(max_cycle, t);
+            barrier_time[pid] = std::max(barrier_time[pid], t);
+            std::uint64_t next = EventTree::idle;
+            if (++barrier_arrivals[pid] == participants) {
+                const Cycles release = barrier_time[pid];
+                max_cycle = std::max(max_cycle, release);
+                if (i + 1 < sv.size)
+                    next = events.pack(release, core);
+                for (std::uint32_t w : barrier_waiters[pid]) {
+                    if (cursor[w] < streams[w].size)
+                        events.set(w, events.pack(release, w));
                 }
-                at_barrier = true;
-                break;
-            }
-            if (kind == OpKind::IntOp) {
-                // IntOps never advance gpeFpOps, so no epoch check.
-                const std::size_t seg = i;
-                do {
-                    ce += int_e;
-                    t += 1;
-                    ++i;
-                } while (i < n && kinds[i] == kb && still_min(t));
-                const std::uint64_t k = i - seg;
-                eng.ac.opKind[kb] += k;
-                phase_ops += k;
-                ops_ctr += k;
-            } else if (kind == OpKind::FpOp) {
-                const std::size_t seg = i;
-                do {
-                    ++fpc;
-                    if (is_gpe)
-                        pf += 1.0;
-                    ce += fp_e;
-                    t += 2;
-                    ++i;
-                    if (is_gpe && fpc >= epoch_fp_target) {
-                        do_close = true;
-                        break;
-                    }
-                } while (i < n && kinds[i] == kb && still_min(t));
-                const std::uint64_t k = i - seg;
-                eng.ac.opKind[kb] += k;
-                phase_ops += k;
-                ops_ctr += k;
-                if (do_close)
-                    break;
-            } else if (kind == OpKind::SpmLoad ||
-                       kind == OpKind::SpmStore) {
-                SADAPT_ASSERT(eng.spmMode && is_gpe,
-                              "SPM op outside SPM mode GPE stream");
-                const bool write = kind == OpKind::SpmStore;
-                const std::size_t seg = i;
-                do {
-                    ++fpc; // SPM ops move FP words (Table 2)
-                    pf += 1.0;
-                    ce += int_e;
-                    t += eng.spmAccess(core, addrs[i], write, t);
-                    ++i;
-                    if (fpc >= epoch_fp_target) {
-                        do_close = true;
-                        break;
-                    }
-                } while (i < n && kinds[i] == kb && still_min(t));
-                const std::uint64_t k = i - seg;
-                eng.ac.opKind[kb] += k;
-                phase_ops += k;
-                ops_ctr += k;
-                if (do_close)
-                    break;
             } else {
-                // Load / Store / FpLoad / FpStore.
-                const bool write = kind == OpKind::Store ||
-                    kind == OpKind::FpStore;
-                const bool fp = isFpKind(kind);
-                const std::size_t seg = i;
-                if (gpe_cache) {
-                    do {
-                        if (fp) {
-                            ++fpc;
-                            pf += 1.0;
-                        }
-                        ce += int_e;
-                        t += eng.accessL1(core, addrs[i], write, pcs[i],
-                                          t);
-                        ++i;
-                        if (fp && fpc >= epoch_fp_target) {
-                            do_close = true;
-                            break;
-                        }
-                    } while (i < n && kinds[i] == kb && still_min(t));
-                } else {
-                    // LCPs, and GPEs in SPM mode, go straight to L2.
-                    do {
-                        if (fp) {
-                            ++fpc;
-                            if (is_gpe)
-                                pf += 1.0;
-                        }
-                        ce += int_e;
-                        t += eng.accessL2(tile, addrs[i], write, pcs[i],
-                                          t, true);
-                        ++i;
-                        if (is_gpe && fp &&
-                            fpc >= epoch_fp_target) {
-                            do_close = true;
-                            break;
-                        }
-                    } while (i < n && kinds[i] == kb && still_min(t));
-                }
-                const std::uint64_t k = i - seg;
-                eng.ac.opKind[kb] += k;
-                phase_ops += k;
-                ops_ctr += k;
-                if (do_close)
-                    break;
+                barrier_waiters[pid].push_back(core);
             }
-            if (i < n && still_min(t))
-                continue; // dispatch the next same-core segment
-            break;
+            events.set(core, next);
+            continue;
         }
-        // Write the register-carried accumulators back before anything
-        // (closeEpoch, the next run) can observe the members.
-        eng.ac.coreE = ce;
-        fp_ctr = fpc;
-        phase_fp = pf;
-        if (at_barrier)
-            continue;
 
-        // Run exit: flush the deferred per-op state exactly once.
-        cursor[core] = i;
-        core_cycle[core] = t;
+        ++(is_gpe ? eng.ac.gpeOps : eng.ac.lcpOps);
+        bool fp_op = false;
+        if (kind == OpKind::IntOp) {
+            eng.ac.coreE += int_e;
+            t += 1;
+        } else if (kind == OpKind::FpOp) {
+            fp_op = true;
+            eng.ac.coreE += fp_e;
+            t += 2;
+        } else if (kind == OpKind::SpmLoad || kind == OpKind::SpmStore) {
+            SADAPT_ASSERT(eng.spmMode && is_gpe,
+                          "SPM op outside SPM mode GPE stream");
+            fp_op = true; // SPM ops move FP words (Table 2)
+            eng.ac.coreE += int_e;
+            t += eng.spmAccess(core, sv.addr[i],
+                               kind == OpKind::SpmStore, t);
+        } else {
+            // Load / Store / FpLoad / FpStore.
+            fp_op = isFpKind(kind);
+            const bool write =
+                kind == OpKind::Store || kind == OpKind::FpStore;
+            eng.ac.coreE += int_e;
+            if (is_gpe && !eng.spmMode) {
+                t += eng.accessL1(core, sv.addr[i], write, sv.pc[i], t);
+            } else {
+                // LCPs, and GPEs in SPM mode, go straight to L2.
+                const std::uint32_t tile =
+                    is_gpe ? core / eng.gpesPerTile : core - num_gpes;
+                t += eng.accessL2(tile, sv.addr[i], write, sv.pc[i], t,
+                                  true);
+            }
+        }
+        if (fp_op) {
+            ++(is_gpe ? eng.ac.gpeFpOps : eng.ac.lcpFpOps);
+            if (is_gpe)
+                eng.epochFpByPhase[eng.corePhase[core]] += 1.0;
+        }
         max_cycle = std::max(max_cycle, t);
-        if (i < n)
-            heap.push({t, core});
-        if (!do_close)
+        events.set(core, i + 1 < sv.size ? events.pack(t, core)
+                                         : EventTree::idle);
+        if (!(fp_op && is_gpe && eng.ac.gpeFpOps >= epoch_fp_target))
             continue;
 
-        result.epochs.push_back(eng.closeEpoch(
-            epoch_index++, epoch_start, core_cycle[core]));
+        result.epochs.push_back(
+            eng.closeEpoch(epoch_index++, epoch_start, t));
         injectTelemetryFaults(faults, result.epochs.back());
         // Every closed record depends only on ops already executed,
         // so stopping here leaves a bit-exact prefix of the full run.
         if (epoch_index == max_epochs)
             return result;
-        epoch_start = core_cycle[core];
+        epoch_start = t;
 
         HwConfig next = eng.cfg;
         if (schedule && epoch_index < schedule->configs.size()) {
@@ -1038,11 +846,11 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
         }
         if (!(next == eng.cfg)) {
             // Live reconfiguration at the epoch boundary: charge
-            // the penalty as a global stall, rescale core-local
-            // cycle counts into the new clock domain, and rebuild
-            // the event heap. (Background power during the stall
-            // is charged by both the cost model and the epoch
-            // window — a small, documented overlap.)
+            // the penalty as a global stall and rescale every
+            // pending event into the new clock domain. (Background
+            // power during the stall is charged by both the cost
+            // model and the epoch window — a small, documented
+            // overlap.)
             const ReconfigCost rc = cost_model->cost(
                 eng.cfg, next, energy_efficient_mode);
             const double ratio = eng.reconfigure(
@@ -1054,15 +862,12 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
                 return static_cast<Cycles>(
                     std::llround(double(tt) * ratio));
             };
-            rescaled.clear();
-            while (!heap.empty()) {
-                rescaled.push_back(heap.top());
-                heap.pop();
+            for (std::uint32_t c = 0; c < num_cores; ++c) {
+                const std::uint64_t pending = events.key(c);
+                if (pending != EventTree::idle)
+                    events.set(c, events.pack(
+                        rescale(events.cycleOf(pending)) + penalty, c));
             }
-            for (auto &[tt, c] : rescaled)
-                heap.push({rescale(tt) + penalty, c});
-            for (auto &tt : core_cycle)
-                tt = rescale(tt) + penalty;
             for (auto &tt : barrier_time)
                 tt = rescale(tt);
             epoch_start = rescale(epoch_start);

@@ -62,7 +62,7 @@ TEST(Controllers, OracleDominatesStaticSequencesInEnergyMode)
     Workload wl = controllerWorkload();
     Comparison cmp(wl, nullptr, optionsFor(OptMode::EnergyEfficient));
     const auto oracle = cmp.oracle();
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     for (const HwConfig &cfg : cmp.candidates()) {
         const auto stat = evaluateSchedule(
             cmp.db(), Schedule::uniform(cfg, cmp.db().numEpochs()),
@@ -89,7 +89,7 @@ TEST(Controllers, PowerPerfOracleBeatsStaticObjective)
     // T^2 * E objective: the Pareto DP explores static sequences
     // (same starting config) too, so it can only improve, modulo
     // frontier thinning.
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     for (const HwConfig &cfg : cmp.candidates()) {
         const auto stat = evaluateSchedule(
             cmp.db(), Schedule::uniform(cfg, cmp.db().numEpochs()),
@@ -140,7 +140,7 @@ TEST(Controllers, SparseAdaptScheduleRespectsPolicy)
     // changes flush-class parameters.
     Workload wl = controllerWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
 
     // A predictor that constantly wants the max configuration.
     TrainingSet set;
@@ -169,7 +169,7 @@ TEST(Controllers, AggressiveFollowsPredictionFromSecondEpoch)
 {
     Workload wl = controllerWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     TrainingSet set;
     PerfCounterSample c;
     for (int i = 0; i < 4; ++i)

@@ -154,7 +154,7 @@ TEST(EvaluateSchedule, StaticMatchesRawSimulation)
 {
     Workload wl = smallWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     const HwConfig cfg = baselineConfig();
     ScheduleEval ev = evaluateSchedule(
         db, Schedule::uniform(cfg, db.numEpochs()), cost,
@@ -170,7 +170,7 @@ TEST(EvaluateSchedule, ChargesReconfigurationAtSeams)
 {
     Workload wl = smallWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     Schedule s = Schedule::uniform(baselineConfig(), db.numEpochs());
     ASSERT_GE(s.configs.size(), 3u);
     s.configs[1] = maxConfig(); // two seams
@@ -193,7 +193,7 @@ TEST(EvaluateSchedule, InitialSwitchCharged)
 {
     Workload wl = smallWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     ScheduleEval ev = evaluateSchedule(
         db, Schedule::uniform(maxConfig(), db.numEpochs()), cost,
         OptMode::EnergyEfficient, baselineConfig());

@@ -395,7 +395,7 @@ TEST(DegradedInputs, ConservativePolicyBoundsPerEpochChange)
     // Even when a degraded sample makes the predictor want maxConfig,
     // the conservative policy only lets hysteresis-allowed (non-flush)
     // changes through in one epoch.
-    ReconfigCostModel cost(SystemShape{}, 1e9);
+    ReconfigCostModel cost(SystemShape{}, 1e9, EnergyParams{});
     Policy policy(PolicyKind::Conservative);
     const HwConfig cur = baselineConfig();
     const HwConfig got =

@@ -113,7 +113,7 @@ TEST(HistoryPredictor, ScheduleHasEpochLengthAndStartsAtInitial)
 {
     Workload wl = historyWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     Rng rng(4);
     TrainingSet set =
         buildHistoryTrainingSet(db, OptMode::EnergyEfficient, 6, rng);
@@ -138,7 +138,7 @@ TEST(HistoryPredictor, SequenceTrainingBeatsBaselineStatic)
     // workload, so this is a fitting check, not generalization).
     Workload wl = historyWorkload();
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     Rng rng(5);
     TrainingSet set =
         buildHistoryTrainingSet(db, OptMode::EnergyEfficient, 8, rng);

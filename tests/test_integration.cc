@@ -96,7 +96,7 @@ TEST(Integration, ScheduleAccessorConsistentWithEval)
     Comparison cmp(wl, &sharedPredictor(), co);
     const Schedule &s = cmp.sparseAdaptSchedule();
     const auto ev = cmp.sparseAdapt();
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     const auto manual = evaluateSchedule(
         cmp.db(), s, cost, co.mode, cmp.initialConfig());
     EXPECT_DOUBLE_EQ(ev.energy, manual.energy);

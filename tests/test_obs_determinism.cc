@@ -101,9 +101,7 @@ TEST(ObsDeterminism, RobustScheduleBitIdenticalWithObserverUnderFaults)
         Comparison cmp(wl, &sharedPredictor(), optionsWith(observer));
         FaultInjector injector(spec);
         RobustAdaptOptions ro;
-        ReconfigCostModel cost(wl.params.shape,
-                               wl.params.memBandwidth,
-                               wl.params.energy);
+        ReconfigCostModel cost(wl.params);
         return robustSparseAdaptSchedule(
             cmp.db(), sharedPredictor(), optionsWith(nullptr).policy,
             OptMode::EnergyEfficient, cost, cmp.initialConfig(),

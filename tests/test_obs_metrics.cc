@@ -254,8 +254,7 @@ instrumentedRunSnapshot()
     EpochDb db(wl);
     db.attachMetrics(&reg);
     const HwConfig cfg = baselineConfig();
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth,
-                           wl.params.energy);
+    ReconfigCostModel cost(wl.params);
     (void)evaluateSchedule(db, Schedule::uniform(cfg, db.numEpochs()),
                            cost, OptMode::EnergyEfficient, cfg);
     std::ostringstream out;

@@ -65,7 +65,7 @@ TEST(OracleBruteForce, EnergyDpIsExactlyOptimal)
 {
     Workload wl = tinyWorkload(400); // few epochs
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     ConfigSpace space(MemType::Cache);
     Rng rng(1);
     const std::vector<HwConfig> candidates = space.sample(3, rng);
@@ -87,7 +87,7 @@ TEST(OracleBruteForce, ParetoDpNearOptimalForTSquaredE)
 {
     Workload wl = tinyWorkload(400);
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     ConfigSpace space(MemType::Cache);
     Rng rng(2);
     const std::vector<HwConfig> candidates = space.sample(3, rng);
@@ -114,7 +114,7 @@ TEST(OracleBruteForce, GreedyNeverBeatsOracleOnItsObjective)
 {
     Workload wl = tinyWorkload(300);
     EpochDb db(wl);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     ConfigSpace space(MemType::Cache);
     Rng rng(3);
     const std::vector<HwConfig> candidates = space.sample(4, rng);

@@ -166,7 +166,7 @@ class ReconfigParamProperty : public testing::TestWithParam<int>
 TEST_P(ReconfigParamProperty, SingleDimensionCostsAreSane)
 {
     const Param p = allParams()[GetParam()];
-    ReconfigCostModel model(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel model(SystemShape{2, 8}, 1e9, EnergyParams{});
     const HwConfig mid = withParam(
         withParam(baselineConfig(), Param::L1Cap, 2), Param::L2Cap,
         2);
@@ -251,8 +251,7 @@ class StitchProperty : public testing::TestWithParam<std::uint64_t>
 TEST_P(StitchProperty, TotalsDecomposeExactly)
 {
     EpochDb db(propertyWorkload());
-    ReconfigCostModel cost(propertyWorkload().params.shape,
-                           propertyWorkload().params.memBandwidth);
+    ReconfigCostModel cost(propertyWorkload().params);
     ConfigSpace space(MemType::Cache);
     Rng rng(GetParam());
     Schedule s;

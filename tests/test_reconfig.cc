@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/reconfig.hh"
+#include "sim/transmuter.hh"
 
 using namespace sadapt;
 
@@ -14,7 +15,7 @@ namespace {
 ReconfigCostModel
 model()
 {
-    return ReconfigCostModel(SystemShape{2, 8}, 1e9);
+    return ReconfigCostModel(SystemShape{2, 8}, 1e9, EnergyParams{});
 }
 
 } // namespace
@@ -125,8 +126,8 @@ TEST(Reconfig, DimensionCostMatchesSingleParamSwitch)
 
 TEST(Reconfig, LowerBandwidthRaisesFlushCost)
 {
-    ReconfigCostModel fast(SystemShape{2, 8}, 10e9);
-    ReconfigCostModel slow(SystemShape{2, 8}, 0.1e9);
+    ReconfigCostModel fast(SystemShape{2, 8}, 10e9, EnergyParams{});
+    ReconfigCostModel slow(SystemShape{2, 8}, 0.1e9, EnergyParams{});
     HwConfig from = maxConfig();
     HwConfig to = withParam(from, Param::L2Cap, 0);
     EXPECT_GT(slow.cost(from, to, false).seconds,
@@ -135,10 +136,32 @@ TEST(Reconfig, LowerBandwidthRaisesFlushCost)
 
 TEST(Reconfig, BiggerSystemsFlushMore)
 {
-    ReconfigCostModel small(SystemShape{2, 8}, 1e9);
-    ReconfigCostModel big(SystemShape{4, 16}, 1e9);
+    ReconfigCostModel small(SystemShape{2, 8}, 1e9, EnergyParams{});
+    ReconfigCostModel big(SystemShape{4, 16}, 1e9, EnergyParams{});
     HwConfig from = maxConfig();
     HwConfig to = withParam(from, Param::L1Sharing, 1);
     EXPECT_GT(big.cost(from, to, false).seconds,
               small.cost(from, to, false).seconds);
+}
+
+TEST(Reconfig, RunParamsCarryTheWorkloadsEnergyConstants)
+{
+    RunParams params;
+    params.shape = SystemShape{4, 16};
+    params.memBandwidth = 2e9;
+    params.energy.dramPerByte *= 3.0;
+    params.energy.sramRead4k *= 2.0;
+    const ReconfigCostModel from_params(params);
+    const ReconfigCostModel explicit_args(params.shape,
+                                          params.memBandwidth,
+                                          params.energy);
+    const ReconfigCostModel defaults(params.shape, params.memBandwidth,
+                                     EnergyParams{});
+    const HwConfig from = maxConfig();
+    const HwConfig to = withParam(from, Param::L2Cap, 0);
+    const ReconfigCost a = from_params.cost(from, to, true);
+    const ReconfigCost b = explicit_args.cost(from, to, true);
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.energy, b.energy);
+    EXPECT_GT(a.energy, defaults.cost(from, to, true).energy);
 }

@@ -81,7 +81,7 @@ TEST(Search, StaticPhaseMetricAllEpochsMatchesResult)
 
 TEST(Policy, AggressiveAlwaysFollowsPrediction)
 {
-    ReconfigCostModel cost(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel cost(SystemShape{2, 8}, 1e9, EnergyParams{});
     Policy policy(PolicyKind::Aggressive);
     const HwConfig cur = maxConfig();
     const HwConfig pred = baselineConfig();
@@ -90,7 +90,7 @@ TEST(Policy, AggressiveAlwaysFollowsPrediction)
 
 TEST(Policy, ConservativeAllowsSuperFineOnly)
 {
-    ReconfigCostModel cost(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel cost(SystemShape{2, 8}, 1e9, EnergyParams{});
     Policy policy(PolicyKind::Conservative);
     HwConfig cur = maxConfig();
     // Prediction changes the clock (super-fine) AND drops L1 capacity
@@ -105,7 +105,7 @@ TEST(Policy, ConservativeAllowsSuperFineOnly)
 
 TEST(Policy, ConservativeAllowsCapacityIncrease)
 {
-    ReconfigCostModel cost(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel cost(SystemShape{2, 8}, 1e9, EnergyParams{});
     Policy policy(PolicyKind::Conservative);
     const HwConfig cur = baselineConfig();
     const HwConfig pred = withParam(cur, Param::L2Cap, 4);
@@ -114,7 +114,7 @@ TEST(Policy, ConservativeAllowsCapacityIncrease)
 
 TEST(Policy, HybridGatesOnEpochTime)
 {
-    ReconfigCostModel cost(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel cost(SystemShape{2, 8}, 1e9, EnergyParams{});
     Policy policy(PolicyKind::Hybrid, 0.4);
     HwConfig cur = maxConfig();
     const HwConfig pred = withParam(cur, Param::L1Sharing, 1); // flush
@@ -127,7 +127,7 @@ TEST(Policy, HybridGatesOnEpochTime)
 TEST(Policy, HybridToleranceOrdering)
 {
     // A larger tolerance accepts everything a smaller one accepts.
-    ReconfigCostModel cost(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel cost(SystemShape{2, 8}, 1e9, EnergyParams{});
     HwConfig cur = maxConfig();
     HwConfig pred = withParam(cur, Param::L2Sharing, 1);
     pred = withParam(pred, Param::Clock, 1);
@@ -147,7 +147,7 @@ TEST(Policy, HybridToleranceOrdering)
 
 TEST(Policy, NoChangeIsIdentity)
 {
-    ReconfigCostModel cost(SystemShape{2, 8}, 1e9);
+    ReconfigCostModel cost(SystemShape{2, 8}, 1e9, EnergyParams{});
     for (PolicyKind k : {PolicyKind::Conservative,
                          PolicyKind::Aggressive, PolicyKind::Hybrid}) {
         Policy policy(k);

@@ -186,8 +186,7 @@ TEST(SessionStep, InterleavedSessionsMatchSequentialRuns)
         explicit Lane(const serve::SessionSpec &spec)
             : wl(serve::buildSessionWorkload(spec, kScale)),
               db(wl),
-              cost(wl.params.shape, wl.params.memBandwidth,
-                   wl.params.energy),
+              cost(wl.params),
               policy(PolicyKind::Hybrid, 0.4),
               ctx{&sharedPredictor(), &policy,
                   OptMode::EnergyEfficient, &cost, nullptr, false,
@@ -274,9 +273,7 @@ TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
         const Workload wl = serve::buildSessionWorkload(spec, kScale);
         EpochDb db(wl);
         ASSERT_EQ(db.epochBudget(), 0u);
-        const ReconfigCostModel cost(wl.params.shape,
-                                     wl.params.memBandwidth,
-                                     wl.params.energy);
+        const ReconfigCostModel cost(wl.params);
         const Policy policy(PolicyKind::Hybrid, 0.4);
         const SessionContext ctx{&sharedPredictor(), &policy,
                                  OptMode::EnergyEfficient, &cost,

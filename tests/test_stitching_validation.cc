@@ -37,7 +37,7 @@ TEST(StitchingValidation, UniformScheduleMatchesPlainRunExactly)
 {
     Workload wl = validationWorkload();
     Transmuter sim(wl.params);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     const HwConfig cfg = bestAvgConfig(MemType::Cache);
     const SimResult plain = sim.run(wl.trace, cfg);
     const SimResult live = sim.runSchedule(
@@ -53,7 +53,7 @@ TEST(StitchingValidation, LiveRunPreservesWorkAndEpochCount)
     Workload wl = validationWorkload();
     EpochDb db(wl);
     Transmuter sim(wl.params);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     // An adversarial schedule: alternate two very different configs.
     Schedule s;
     const HwConfig a = baselineConfig();
@@ -70,7 +70,7 @@ TEST(StitchingValidation, StitchedTotalsCloseToLiveExecution)
     Workload wl = validationWorkload();
     EpochDb db(wl);
     Transmuter sim(wl.params);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
 
     // A realistic dynamic schedule: the energy oracle over a few
     // candidates (switches a handful of times).
@@ -106,7 +106,7 @@ TEST(StitchingValidation, LiveReconfigurationChangesClockDomain)
     Workload wl = validationWorkload();
     EpochDb db(wl);
     Transmuter sim(wl.params);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     ASSERT_GE(db.numEpochs(), 3u);
     // Switch the clock down after the first epoch.
     Schedule s = Schedule::uniform(baselineConfig(), db.numEpochs());
@@ -123,7 +123,7 @@ TEST(StitchingValidation, LiveFlushCausesColdMisses)
     Workload wl = validationWorkload();
     EpochDb db(wl);
     Transmuter sim(wl.params);
-    ReconfigCostModel cost(wl.params.shape, wl.params.memBandwidth);
+    ReconfigCostModel cost(wl.params);
     ASSERT_GE(db.numEpochs(), 4u);
     // Mid-run L1 sharing flip forces a flush; the following epoch's
     // miss rate should not be lower than the static run's.

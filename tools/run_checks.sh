@@ -37,6 +37,14 @@ echo "== ctest -L analysis|obs (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L 'analysis|obs' --output-on-failure \
     -j "$(nproc)"
 
+# Replay-order gate: the golden replay digests and the event-tree
+# differential tests. A reordered event, a changed barrier release or
+# rescale, or a moved floating-point accumulation fails here by test
+# name, under the same sanitized build.
+echo "== ctest -L replay (ASan+UBSan)"
+ctest --test-dir "$build_dir" -L replay --output-on-failure \
+    -j "$(nproc)"
+
 # Persistent-store gate: the record-log crash-recovery, EpochStore
 # cache-contract and warm-start determinism suite, plus the
 # kill-and-rerun drill of a parallel sweep, under the same sanitized
