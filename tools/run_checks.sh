@@ -37,6 +37,14 @@ echo "== ctest -L analysis|obs (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L 'analysis|obs' --output-on-failure \
     -j "$(nproc)"
 
+# Trace-reader gate: the trace container, both file formats, the
+# golden format pins and the malformed-input cases. A reader that
+# faults on a hostile file (an overflow, an oversized allocation, an
+# out-of-bounds read) fails here by test name under the sanitizers.
+echo "== ctest -L trace (ASan+UBSan)"
+ctest --test-dir "$build_dir" -L trace --output-on-failure \
+    -j "$(nproc)"
+
 # Replay-order gate: the golden replay digests and the event-tree
 # differential tests. A reordered event, a changed barrier release or
 # rescale, or a moved floating-point accumulation fails here by test
