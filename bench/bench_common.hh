@@ -158,9 +158,9 @@ class BenchReport
     void noteSweep(double wall_seconds, std::uint64_t configs);
 
     /**
-     * Account host seconds spent decoding a serialized trace into the
-     * replay-ready SoA form (text parse + conversion, or columnar
-     * mmap load). Accumulated into "trace_decode_seconds", reported
+     * Account host seconds spent decoding a serialized trace into a
+     * replay-ready Trace (text parse, or columnar file read and
+     * decode). Accumulated into "trace_decode_seconds", reported
      * separately from sweep_wall_seconds so decode cost never
      * pollutes the replay trend gate.
      */
@@ -181,8 +181,8 @@ class BenchReport
 
     /**
      * The trace format the bench replayed from, reported as
-     * "trace_format". Defaults to "columnar" (every replay runs from
-     * the columnar SoA view); tools/bench_trend refuses to compare
+     * "trace_format". Defaults to "columnar" (every replay reads the
+     * trace's columns); tools/bench_trend refuses to compare
      * runs recorded under different formats.
      */
     void setTraceFormat(std::string format);

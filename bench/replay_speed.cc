@@ -8,8 +8,8 @@
  *
  * `--format=text|columnar` (default columnar) selects which on-disk
  * trace format the bench round-trips: the workload's trace is
- * serialized once at startup and decoded back to the replay-ready
- * SoA form every rep, with the decode seconds recorded separately
+ * serialized once at startup and decoded back to a replay-ready
+ * Trace every rep, with the decode seconds recorded separately
  * ("trace_decode_seconds") from the replay wall so the two costs
  * trend independently. The replay itself always runs the same
  * columnar engine path, so GFLOPS are identical across formats — any
@@ -75,11 +75,10 @@ parseFormat(int argc, char **argv)
 }
 
 /**
- * Decode the serialized trace back into the replay-ready SoA form,
+ * Decode the serialized trace back into a replay-ready Trace,
  * returning the host seconds it took. This is the cost the chosen
- * format pays before a single op replays: text pays a full parse plus
- * the AoS-to-SoA conversion, columnar an mmap plus one address-varint
- * pass.
+ * format pays before a single op replays: text pays a full parse,
+ * columnar a file read plus one decoding pass over its columns.
  */
 double
 timedDecode(const std::string &format, const std::string &path,
@@ -91,15 +90,13 @@ timedDecode(const std::string &format, const std::string &path,
         Result<TraceText> parsed = readTraceTextFile(path);
         SADAPT_ASSERT(parsed.isOk(), "text trace round-trip failed: " +
                                          parsed.status().message());
-        const ColumnarTrace soa =
-            ColumnarTrace::fromTrace(parsed.value().trace);
-        ops = soa.view().totalOps;
+        ops = parsed.value().trace.totalOps();
     } else {
-        Result<ColumnarTrace> loaded = readTraceColumnarFile(path);
+        Result<TraceText> loaded = readTraceColumnarFile(path);
         SADAPT_ASSERT(loaded.isOk(),
                       "columnar trace round-trip failed: " +
                           loaded.status().message());
-        ops = loaded.value().view().totalOps;
+        ops = loaded.value().trace.totalOps();
     }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)

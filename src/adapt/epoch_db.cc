@@ -1,5 +1,6 @@
 #include "adapt/epoch_db.hh"
 
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -14,15 +15,6 @@ namespace sadapt {
 EpochDb::EpochDb(const Workload &workload, std::size_t epoch_budget)
     : wl(workload), budgetV(epoch_budget), sim(workload.params)
 {
-}
-
-EpochDb::EpochDb(const Workload &workload, ColumnarTrace trace,
-                 std::size_t epoch_budget)
-    : wl(workload), soa(std::move(trace)), budgetV(epoch_budget),
-      sim(workload.params)
-{
-    SADAPT_ASSERT(soa->shape() == wl.params.shape,
-                  "columnar trace shape does not match the workload");
 }
 
 std::uint64_t
@@ -59,11 +51,8 @@ EpochDb::attachStore(store::EpochStore *epoch_store)
     fingerprintV = 0;
     if (epoch_store == nullptr)
         return;
-    // The TraceView overload is bit-equal to the AoS one, so an
-    // adopted columnar trace keys the same cells as its source.
-    fingerprintV = soa.has_value()
-        ? store::workloadFingerprint(soa->view(), wl.params, wl.l1Type)
-        : store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
+    fingerprintV =
+        store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
     if (budgetV > 0)
         fingerprintV = store::Fnv1a()
                            .u64(fingerprintV)
@@ -72,18 +61,10 @@ EpochDb::attachStore(store::EpochStore *epoch_store)
                            .value();
 }
 
-TraceView
-EpochDb::replayView()
-{
-    if (!soa.has_value())
-        soa = ColumnarTrace::fromTrace(wl.trace);
-    return soa->view();
-}
-
 const SimResult &
 EpochDb::simulateAndCommit(std::uint64_t key, const HwConfig &cfg)
 {
-    SimResult res = sim.run(replayView(), cfg, budgetV);
+    SimResult res = sim.run(wl.trace, cfg, budgetV);
     if (storeV != nullptr)
         storeV->put(fingerprintV, cfg, res);
     return commit(key, std::move(res));
@@ -151,11 +132,9 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
     }
 
     // Replay the true misses concurrently: tasks share only the
-    // immutable columnar view (converted here, before any worker
-    // starts); each gets its own Transmuter and (when metrics are
-    // attached) its own registry shard. Nothing shared is written
+    // immutable trace; each gets its own Transmuter and (when metrics
+    // are attached) its own registry shard. Nothing shared is written
     // until the barrier.
-    const TraceView view = replayView();
     std::vector<std::size_t> missing;
     missing.reserve(toSimulate);
     for (std::size_t i = 0; i < pending.size(); ++i)
@@ -169,7 +148,7 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
         if (metricsV != nullptr)
             task_sim.setMetrics(&shards[i]);
         results[i] =
-            task_sim.run(view, pending[missing[i]].cfg, budgetV);
+            task_sim.run(wl.trace, pending[missing[i]].cfg, budgetV);
     });
 
     // Barrier passed: commit store hits and fresh replays interleaved

@@ -16,17 +16,17 @@
  * run's (Transmuter::run's max_epochs).
  *
  * Replays of distinct configurations are independent given the shared
- * immutable trace, so the database exposes a batch
- * ensure() API that replays missing configurations concurrently (one
- * Transmuter per task) and commits the results in request order — the
- * memoized state, exported metrics and every downstream ScheduleEval
- * are bit-identical to a jobs=1 run (DESIGN.md section 9).
+ * immutable trace, whose columns every replay reads in place, so the
+ * database exposes a batch ensure() API that replays missing
+ * configurations concurrently (one Transmuter per task) and commits
+ * the results in request order — the memoized state, exported
+ * metrics and every downstream ScheduleEval are bit-identical to a
+ * jobs=1 run (DESIGN.md section 9).
  */
 
 #ifndef SADAPT_ADAPT_EPOCH_DB_HH
 #define SADAPT_ADAPT_EPOCH_DB_HH
 
-#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -34,7 +34,6 @@
 #include "adapt/workload.hh"
 #include "sim/reconfig.hh"
 #include "sim/schedule.hh"
-#include "sim/trace_columnar.hh"
 #include "store/epoch_store.hh"
 
 namespace sadapt {
@@ -55,15 +54,6 @@ class EpochDb
      */
     explicit EpochDb(const Workload &workload,
                      std::size_t epoch_budget = 0);
-
-    /**
-     * As above, but adopting `trace`, the columnar form of
-     * workload.trace. Replays and the store fingerprint then read
-     * only `trace`, never workload.trace, so the caller may release
-     * the AoS ops once the database is built (serve sessions do).
-     */
-    EpochDb(const Workload &workload, ColumnarTrace trace,
-            std::size_t epoch_budget = 0);
 
     /**
      * Replay parallelism for ensure(): jobs <= 1 is the exact serial
@@ -158,16 +148,6 @@ class EpochDb
 
   private:
     const Workload &wl;
-    /**
-     * The workload trace in the columnar SoA layout, adopted at
-     * construction or built on the first replay (replayView()); every
-     * replay (serial or parallel) runs from this shared immutable
-     * view, keeping the per-configuration conversion cost out of the
-     * sweep inner loop, and a database served entirely from the store
-     * never converts. Results are bit-identical to replaying the AoS
-     * trace directly.
-     */
-    std::optional<ColumnarTrace> soa;
     std::size_t budgetV = 0;
     Transmuter sim;
     unsigned jobsV = 1;
@@ -177,13 +157,6 @@ class EpochDb
     std::unordered_map<std::uint64_t, SimResult> cache;
 
     const SimResult &commit(std::uint64_t key, SimResult res);
-
-    /**
-     * The columnar view every replay runs from, converting the trace
-     * on first use. Not thread-safe: parallel replays take the view
-     * before they start.
-     */
-    TraceView replayView();
 
     /** Replay cfg on the member simulator, checkpoint it, commit it. */
     const SimResult &simulateAndCommit(std::uint64_t key,

@@ -62,12 +62,6 @@ lintSource(const std::string &source, const std::string &rel_path)
     // framed, CRC-guarded appends.
     const bool store_raw_io_scope = underDir(rel_path, "store") &&
         rel_path.find("store/record_log") == std::string::npos;
-    // sim/trace_columnar.{hh,cc} is the one home allowed to mmap and
-    // touch raw file descriptors (the zero-copy trace loader); the
-    // same single-owner discipline store/record_log applies to raw
-    // streams.
-    const bool trace_mmap_home =
-        rel_path.find("sim/trace_columnar") != std::string::npos;
 
     auto tok = [&](std::size_t i) -> const Token * {
         return i < toks.size() ? &toks[i] : nullptr;
@@ -177,10 +171,10 @@ lintSource(const std::string &source, const std::string &rel_path)
         }
 
         // lint-trace-raw-mmap: memory mapping and raw-descriptor
-        // I/O outside the columnar trace loader. A stray mmap
-        // elsewhere creates a second lifetime authority for mapped
-        // bytes; TraceView validity depends on exactly one.
-        if (!trace_mmap_home && t.kind == Token::Kind::Ident &&
+        // I/O anywhere. Trace files are read into buffers and decoded
+        // into owned columns, so no bytes outlive their reader and a
+        // TraceView only ever points into a Trace.
+        if (t.kind == Token::Kind::Ident &&
             (t.text == "mmap" || t.text == "munmap" ||
              t.text == "madvise" || t.text == "mremap" ||
              t.text == "pread" || t.text == "pwrite")) {
@@ -197,9 +191,9 @@ lintSource(const std::string &source, const std::string &rel_path)
                 report.add(
                     "lint-trace-raw-mmap", rel_path, t.line,
                     Severity::Error,
-                    str("call to ", t.text, "(): memory mapping and "
-                        "raw-descriptor I/O live only in "
-                        "sim/trace_columnar's mmap loader"));
+                    str("call to ", t.text, "(): no code maps files "
+                        "or does raw-descriptor I/O; read the file "
+                        "into a buffer instead"));
             }
         }
 

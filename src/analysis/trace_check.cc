@@ -17,15 +17,15 @@ namespace {
  * hold millions of ops) and report the first offending op.
  */
 void
-checkStream(const std::vector<TraceOp> &ops, const std::string &core,
+checkStream(const StreamView &ops, const std::string &core,
             const TraceText &tt, const std::string &name,
             std::vector<Addr> &phase_seq, Report &report)
 {
     std::uint64_t bad_mem = 0, bad_spm = 0;
     std::uint64_t first_bad_mem = 0, first_bad_spm = 0;
     Addr first_mem_addr = 0, first_spm_addr = 0;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const TraceOp &op = ops[i];
+    for (std::size_t i = 0; i < ops.size; ++i) {
+        const TraceOp op = ops.op(i);
         if (op.kind == OpKind::Phase) {
             phase_seq.push_back(op.addr);
             continue;
@@ -147,10 +147,7 @@ checkTraceFile(const std::string &path)
                        Severity::Error, loaded.message());
             return report;
         }
-        const ColumnarTrace &ct = loaded.value();
-        const TraceText tt{ct.toTrace(), ct.footprint(),
-                           ct.epochFpOps(), ct.declaredEpochs()};
-        return checkTrace(tt, path);
+        return checkTrace(loaded.value(), path);
     }
     auto parsed = readTraceTextFile(path);
     if (!parsed) {

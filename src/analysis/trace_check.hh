@@ -17,7 +17,7 @@
  * Both trace formats are accepted: the format is sniffed from the
  * file magic. Columnar files get their framing validated first
  * (magic, version, per-section CRCs, torn tails, column-length
- * agreement — everything the mmap loader enforces), then the same
+ * agreement — everything the columnar loader enforces), then the same
  * semantic checks as text run over the decoded streams.
  */
 

@@ -52,8 +52,8 @@ struct BenchRun
     /**
      * Trace pipeline provenance: the format replayed from and the
      * host seconds spent decoding it to the replay-ready form.
-     * Reports predating the knob read as "columnar" — the format
-     * every replay has used since the SoA engine landed.
+     * Reports predating the knob read as "columnar" — the layout
+     * every replay has read since the column engine landed.
      */
     std::string traceFormat = "columnar";
     double traceDecodeSeconds = 0.0;

@@ -28,10 +28,9 @@ namespace {
  * handles (predictor, store) — which is exactly the boundary the
  * lint-serve-session-state rule enforces for this directory.
  *
- * The trace lives in one form only: the database adopts its columnar
- * conversion and the AoS ops are released right after. The database
- * replays at most spec.maxEpochs epochs per configuration, the most
- * the session can ever serve.
+ * The database replays the workload's trace in place, at most
+ * spec.maxEpochs epochs per configuration, the most the session can
+ * ever serve.
  */
 struct ServeSession
 {
@@ -51,8 +50,7 @@ struct ServeSession
     ServeSession(const SessionSpec &sp, const ServeOptions &opt)
         : spec(sp),
           workload(buildSessionWorkload(sp, opt.scale)),
-          db(workload, ColumnarTrace::fromTrace(workload.trace),
-             sp.maxEpochs),
+          db(workload, sp.maxEpochs),
           cost(workload.params),
           initial(baselineConfig(workload.l1Type)),
           policy(opt.policy, opt.tolerance),
@@ -63,7 +61,6 @@ struct ServeSession
         // Shard journaling starts empty; the server emits the open
         // event right after construction, so it is the first line.
         observer.attachJournal(journalBuf);
-        workload.trace = Trace{};
         db.setJobs(1);
         if (opt.store != nullptr)
             db.attachStore(opt.store);

@@ -10,9 +10,7 @@
 namespace sadapt {
 
 Trace::Trace(SystemShape shape)
-    : shapeV(shape),
-      gpeStreams(shape.numGpes()),
-      lcpStreams(shape.tiles)
+    : shapeV(shape), streamsV(shape.numGpes() + shape.tiles)
 {
 }
 
@@ -21,11 +19,8 @@ Trace::beginPhase(const std::string &name)
 {
     const Addr id = phases.size();
     phases.push_back(name);
-    TraceOp marker{id, 0, OpKind::Phase};
-    for (auto &s : gpeStreams)
-        s.push_back(marker);
-    for (auto &s : lcpStreams)
-        s.push_back(marker);
+    for (Columns &s : streamsV)
+        s.push({id, 0, OpKind::Phase});
 }
 
 void
@@ -34,58 +29,55 @@ Trace::registerPhase(std::string name)
     phases.push_back(std::move(name));
 }
 
-const std::vector<TraceOp> &
+StreamView
 Trace::gpeStream(std::uint32_t g) const
 {
-    SADAPT_ASSERT(g < gpeStreams.size(), "gpe index out of range");
-    return gpeStreams[g];
+    SADAPT_ASSERT(g < shapeV.numGpes(), "gpe index out of range");
+    return streamsV[g].view();
 }
 
-const std::vector<TraceOp> &
+StreamView
 Trace::lcpStream(std::uint32_t t) const
 {
-    SADAPT_ASSERT(t < lcpStreams.size(), "tile index out of range");
-    return lcpStreams[t];
+    SADAPT_ASSERT(t < shapeV.tiles, "tile index out of range");
+    return streamsV[shapeV.numGpes() + t].view();
 }
 
 double
 Trace::totalFlops() const
 {
-    double flops = 0.0;
-    for (const auto &s : gpeStreams)
-        for (const auto &op : s)
-            flops += isFpKind(op.kind);
-    return flops;
+    std::uint64_t n = 0;
+    for (std::uint32_t g = 0; g < shapeV.numGpes(); ++g)
+        n += streamsV[g].fpOps;
+    return static_cast<double>(n);
 }
 
 std::uint64_t
 Trace::totalOps() const
 {
     std::uint64_t n = 0;
-    for (const auto &s : gpeStreams)
-        n += s.size();
-    for (const auto &s : lcpStreams)
-        n += s.size();
+    for (const Columns &s : streamsV)
+        n += s.kind.size();
     return n;
 }
 
 Status
 Trace::tryPushGpe(std::uint32_t gpe, TraceOp op)
 {
-    if (gpe >= gpeStreams.size())
+    if (gpe >= shapeV.numGpes())
         return Status::error(str("gpe id ", gpe, " out of range (",
-                                 gpeStreams.size(), " GPEs)"));
-    gpeStreams[gpe].push_back(op);
+                                 shapeV.numGpes(), " GPEs)"));
+    streamsV[gpe].push(op);
     return Status::ok();
 }
 
 Status
 Trace::tryPushLcp(std::uint32_t tile, TraceOp op)
 {
-    if (tile >= lcpStreams.size())
+    if (tile >= shapeV.tiles)
         return Status::error(str("tile id ", tile, " out of range (",
-                                 lcpStreams.size(), " tiles)"));
-    lcpStreams[tile].push_back(op);
+                                 shapeV.tiles, " tiles)"));
+    streamsV[shapeV.numGpes() + tile].push(op);
     return Status::ok();
 }
 
@@ -97,23 +89,31 @@ Trace::append(const Trace &other)
     const Addr phase_base = phases.size();
     for (const auto &name : other.phases)
         phases.push_back(name);
-    auto fixup = [&](TraceOp op) {
-        if (op.kind == OpKind::Phase)
-            op.addr += phase_base;
-        return op;
-    };
-    for (std::uint32_t g = 0; g < gpeStreams.size(); ++g) {
-        gpeStreams[g].reserve(gpeStreams[g].size() +
-                              other.gpeStreams[g].size());
-        for (const auto &op : other.gpeStreams[g])
-            gpeStreams[g].push_back(fixup(op));
+    for (std::size_t s = 0; s < streamsV.size(); ++s) {
+        const StreamView src = other.streamsV[s].view();
+        StreamWriter w(&streamsV[s]);
+        w.reserve(src.size);
+        for (std::size_t i = 0; i < src.size; ++i) {
+            TraceOp op = src.op(i);
+            if (op.kind == OpKind::Phase)
+                op.addr += phase_base;
+            w.push(op);
+        }
     }
-    for (std::uint32_t t = 0; t < lcpStreams.size(); ++t) {
-        lcpStreams[t].reserve(lcpStreams[t].size() +
-                              other.lcpStreams[t].size());
-        for (const auto &op : other.lcpStreams[t])
-            lcpStreams[t].push_back(fixup(op));
-    }
+}
+
+TraceView
+Trace::view() const
+{
+    TraceView v;
+    v.shape = shapeV;
+    v.streams.reserve(streamsV.size());
+    for (const Columns &s : streamsV)
+        v.streams.push_back(s.view());
+    v.phases = phases;
+    v.totalFpOps = static_cast<std::uint64_t>(totalFlops());
+    v.totalOps = totalOps();
+    return v;
 }
 
 std::string
@@ -201,7 +201,10 @@ readTraceText(std::istream &in)
             std::uint64_t tiles = 0, gpes = 0;
             if (!(ls >> tiles >> gpes) || tiles == 0 || gpes == 0)
                 return traceError(lineno, "malformed shape");
-            if (tiles * gpes > maxTraceGpes)
+            // Bound each dimension before multiplying: a u64 product
+            // of two huge dimensions can wrap to a small value.
+            if (tiles > maxTraceGpes || gpes > maxTraceGpes ||
+                tiles * gpes > maxTraceGpes)
                 return traceError(
                     lineno, str("shape ", tiles, "x", gpes,
                                 " exceeds ", maxTraceGpes, " GPEs"));
@@ -345,12 +348,13 @@ writeTraceText(const Trace &trace, std::ostream &out,
     for (std::size_t i = 0; i < phases.size(); ++i)
         out << "phase " << i << ' ' << phases[i] << '\n';
     auto emit = [&](const char *core, std::uint32_t id,
-                    const std::vector<TraceOp> &ops) {
-        out << "stream " << core << ' ' << id << ' ' << ops.size()
+                    const StreamView &ops) {
+        out << "stream " << core << ' ' << id << ' ' << ops.size
             << '\n';
-        for (std::size_t i = 0; i < ops.size(); ++i)
-            out << i << ' ' << opKindName(ops[i].kind) << ' '
-                << ops[i].addr << ' ' << ops[i].pc << '\n';
+        for (std::size_t i = 0; i < ops.size; ++i)
+            out << i << ' '
+                << opKindName(static_cast<OpKind>(ops.kind[i])) << ' '
+                << ops.addr[i] << ' ' << ops.pc[i] << '\n';
     };
     for (std::uint32_t g = 0; g < shape.numGpes(); ++g)
         emit("gpe", g, trace.gpeStream(g));

@@ -8,6 +8,11 @@
  * boundaries (defined by FP-op counts, Section 4) align exactly across
  * configurations, which makes the artifact's epoch-stitching methodology
  * (Appendix A.7) exact.
+ *
+ * A trace has one in-memory form: per-stream columns (op kind, byte
+ * address, access-site pc) that kernels append to and the replay
+ * engine, the store fingerprint and both file writers read through a
+ * non-owning TraceView.
  */
 
 #ifndef SADAPT_SIM_TRACE_HH
@@ -16,6 +21,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,12 +60,27 @@ isMemKind(OpKind k)
         k == OpKind::FpLoad || k == OpKind::FpStore;
 }
 
-/** One operation of a core's execution stream. */
+/** One operation of a core's execution stream, as pushed and read. */
 struct TraceOp
 {
     Addr addr = 0;        //!< byte address (or phase id for Phase ops)
     std::uint16_t pc = 0; //!< static access-site id (prefetcher index)
     OpKind kind = OpKind::IntOp;
+};
+
+/** One core stream as column pointers into its trace. */
+struct StreamView
+{
+    const std::uint8_t *kind = nullptr;  //!< OpKind, one byte per op
+    const Addr *addr = nullptr;          //!< byte addresses
+    const std::uint16_t *pc = nullptr;   //!< access-site ids
+    std::size_t size = 0;
+
+    TraceOp
+    op(std::size_t i) const
+    {
+        return {addr[i], pc[i], static_cast<OpKind>(kind[i])};
+    }
 };
 
 /** System shape: tiles and GPEs per tile (Figure 12 sweeps these). */
@@ -80,13 +101,68 @@ struct SystemShape
 inline constexpr std::uint64_t maxTraceGpes = 4096;
 
 /**
+ * Non-owning view of a whole trace: per-core column pointers in
+ * canonical order (GPE streams first, then LCP streams), phase names,
+ * and the op totals the trace kept while its ops were appended, so the
+ * replay engine never rescans the ops. It owns only its small stream
+ * index and stays valid while its Trace is alive and unmodified.
+ */
+struct TraceView
+{
+    SystemShape shape;
+    std::vector<StreamView> streams; //!< numGpes + tiles entries
+    std::span<const std::string> phases;
+    std::uint64_t totalFpOps = 0; //!< FP-kind ops across GPE streams
+    std::uint64_t totalOps = 0;   //!< ops across all streams
+
+    const StreamView &
+    gpeStream(std::uint32_t g) const
+    {
+        return streams[g];
+    }
+
+    const StreamView &
+    lcpStream(std::uint32_t t) const
+    {
+        return streams[shape.numGpes() + t];
+    }
+};
+
+/**
  * A complete device program trace: one op stream per GPE and one per
- * LCP, plus named phases.
+ * LCP, plus named phases. Each stream is stored as three columns;
+ * the trace holds no pointers into itself, so it copies and moves
+ * like the vectors it is made of.
  */
 class Trace
 {
+    /** One stream's columns and its running FP-op count. */
+    struct Columns
+    {
+        std::vector<std::uint8_t> kind;
+        std::vector<Addr> addr;
+        std::vector<std::uint16_t> pc;
+        std::uint64_t fpOps = 0;
+
+        void
+        push(TraceOp op)
+        {
+            kind.push_back(static_cast<std::uint8_t>(op.kind));
+            addr.push_back(op.addr);
+            pc.push_back(op.pc);
+            fpOps += isFpKind(op.kind);
+        }
+
+        StreamView
+        view() const
+        {
+            return {kind.data(), addr.data(), pc.data(), kind.size()};
+        }
+    };
+
   public:
-    Trace() = default;
+    /** An empty trace of the default shape. */
+    Trace() : Trace(SystemShape{}) {}
 
     explicit Trace(SystemShape shape);
 
@@ -96,18 +172,14 @@ class Trace
     void
     pushGpe(std::uint32_t gpe, TraceOp op)
     {
-        SADAPT_ASSERT(gpe < gpeStreams.size(),
-                      "gpe index out of range");
-        gpeStreams[gpe].push_back(op);
+        gpeWriter(gpe).push(op);
     }
 
     /** Append an op to an LCP (tile controller) stream. */
     void
     pushLcp(std::uint32_t tile, TraceOp op)
     {
-        SADAPT_ASSERT(tile < lcpStreams.size(),
-                      "tile index out of range");
-        lcpStreams[tile].push_back(op);
+        lcpWriter(tile).push(op);
     }
 
     /** As pushGpe, but a bad GPE id is a recoverable error. */
@@ -121,39 +193,43 @@ class Trace
      * bounds-check the core id on every op, which shows up in release
      * builds inside per-nonzero kernel emit loops; a writer checks the
      * id once at construction and appends unchecked after that. The
-     * handle is invalidated by anything that reshapes the trace
-     * (append(), construction) — fetch, emit, drop.
+     * handle is invalidated by anything that reshapes, copies or moves
+     * the trace — fetch, emit, drop.
      */
     class StreamWriter
     {
       public:
-        void push(TraceOp op) { streamV->push_back(op); }
+        void push(TraceOp op) { streamV->push(op); }
+
+        /** Reserve room for `n` more ops (a decoder knows its count). */
+        void
+        reserve(std::size_t n)
+        {
+            streamV->kind.reserve(streamV->kind.size() + n);
+            streamV->addr.reserve(streamV->addr.size() + n);
+            streamV->pc.reserve(streamV->pc.size() + n);
+        }
 
       private:
         friend class Trace;
-        explicit StreamWriter(std::vector<TraceOp> *stream)
-            : streamV(stream)
-        {
-        }
-        std::vector<TraceOp> *streamV;
+        explicit StreamWriter(Columns *stream) : streamV(stream) {}
+        Columns *streamV;
     };
 
     /** Writer for one GPE stream (asserts the id once, not per op). */
     StreamWriter
     gpeWriter(std::uint32_t gpe)
     {
-        SADAPT_ASSERT(gpe < gpeStreams.size(),
-                      "gpe index out of range");
-        return StreamWriter(&gpeStreams[gpe]);
+        SADAPT_ASSERT(gpe < shapeV.numGpes(), "gpe index out of range");
+        return StreamWriter(&streamsV[gpe]);
     }
 
     /** Writer for one LCP stream (asserts the id once, not per op). */
     StreamWriter
     lcpWriter(std::uint32_t tile)
     {
-        SADAPT_ASSERT(tile < lcpStreams.size(),
-                      "tile index out of range");
-        return StreamWriter(&lcpStreams[tile]);
+        SADAPT_ASSERT(tile < shapeV.tiles, "tile index out of range");
+        return StreamWriter(&streamsV[shapeV.numGpes() + tile]);
     }
 
     /**
@@ -168,8 +244,8 @@ class Trace
      */
     void registerPhase(std::string name);
 
-    const std::vector<TraceOp> &gpeStream(std::uint32_t g) const;
-    const std::vector<TraceOp> &lcpStream(std::uint32_t t) const;
+    StreamView gpeStream(std::uint32_t g) const;
+    StreamView lcpStream(std::uint32_t t) const;
 
     /** Names of the explicit phases, indexed by phase id. */
     const std::vector<std::string> &phaseNames() const { return phases; }
@@ -183,10 +259,13 @@ class Trace
     /** Append another trace's streams after this one (same shape). */
     void append(const Trace &other);
 
+    /** The column view the replay engine and the writers read. */
+    TraceView view() const;
+
   private:
     SystemShape shapeV;
-    std::vector<std::vector<TraceOp>> gpeStreams;
-    std::vector<std::vector<TraceOp>> lcpStreams;
+    /** Canonical order: GPE streams 0..N-1, then LCP streams. */
+    std::vector<Columns> streamsV;
     std::vector<std::string> phases;
 };
 
@@ -197,7 +276,7 @@ std::string opKindName(OpKind k);
 std::optional<OpKind> opKindFromName(const std::string &name);
 
 /**
- * A trace plus the file-level metadata carried by the text format:
+ * A trace plus the file-level metadata both file formats carry:
  * the device address-space footprint the emitting kernel allocated,
  * the FP-op epoch length the run was scheduled with, and the epoch
  * count the producer claims the trace covers (0 when unstated).

@@ -1,13 +1,14 @@
 /**
  * @file
- * Binary columnar trace format and the SoA replay view.
+ * Binary columnar trace file format.
  *
  * The text format (sim/trace) is the archival/interchange form; this
- * is the replay form. A columnar file splits every core stream into
- * three columns — op kind (one byte per op), byte address
+ * is the compact binary one. A columnar file splits every core stream
+ * into three columns — op kind (one byte per op), byte address
  * (zigzag-encoded delta varints) and access-site pc (little-endian
- * u16) — framed with the store's CRC discipline so a flipped bit or a
- * torn tail is detected before a single op is replayed:
+ * u16) — the same columns a Trace keeps in memory, framed with the
+ * store's CRC discipline so a flipped bit or a torn tail is detected
+ * before a single op is replayed:
  *
  *   header:  8-byte magic "sadaptct", u32 version, u32 reserved
  *   frame:   u32 frame magic, u32 section kind, u64 payload length,
@@ -15,34 +16,22 @@
  *            zero padding to the next 8-byte boundary
  *
  * Sections appear in a fixed order: one meta section (shape, file
- *  metadata, phase names, precomputed op totals), one stream section
+ * metadata, phase names, precomputed op totals), one stream section
  * per core in canonical order (GPEs 0..N-1, then LCPs 0..T-1), and an
  * empty end section. A file that stops before the end section is
  * torn; unlike the append-only store logs there is no salvageable
  * prefix, so torn and corrupt files are rejected outright.
  *
- * The loader mmaps the file and serves the kind and pc columns
- * zero-copy straight out of the mapping (every payload is 8-byte
- * aligned by construction); only the delta-varint address column is
- * decoded — one streaming pass at open — into an owned buffer.
- * `TraceView` exposes the result as per-stream SoA spans, which is
- * what the Transmuter's blocked replay loop consumes. A view never
- * owns storage: it stays valid exactly as long as the ColumnarTrace
- * (and with it the mapping) it came from.
- *
- * This TU is the only place in the tree allowed to touch mmap/raw
- * file descriptors (lint-trace-raw-mmap), mirroring how
- * store/record_log owns raw file streams for store/.
+ * The loader reads the whole file into a buffer and decodes each
+ * stream section into the trace's own columns; every count it sizes
+ * storage from is first checked against the bytes that carry it.
  */
 
 #ifndef SADAPT_SIM_TRACE_COLUMNAR_HH
 #define SADAPT_SIM_TRACE_COLUMNAR_HH
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "common/status.hh"
 #include "sim/trace.hh"
@@ -67,98 +56,6 @@ enum class TraceSection : std::uint32_t
     End = 3,    //!< empty terminator; absence means a torn file
 };
 
-/** One core stream as structure-of-arrays column pointers. */
-struct StreamView
-{
-    const std::uint8_t *kind = nullptr;  //!< OpKind, one byte per op
-    const Addr *addr = nullptr;          //!< decoded byte addresses
-    const std::uint16_t *pc = nullptr;   //!< access-site ids
-    std::size_t size = 0;
-};
-
-/**
- * Non-owning SoA view of a whole trace: per-core column spans in
- * canonical order (GPE streams first, then LCP streams), phase names,
- * and precomputed totals so the replay engine never rescans the ops.
- */
-struct TraceView
-{
-    SystemShape shape;
-    std::span<const StreamView> streams; //!< numGpes + tiles entries
-    std::span<const std::string> phases;
-    std::uint64_t totalFpOps = 0; //!< FP-kind ops across GPE streams
-    std::uint64_t totalOps = 0;   //!< ops across all streams
-
-    const StreamView &
-    gpeStream(std::uint32_t g) const
-    {
-        return streams[g];
-    }
-
-    const StreamView &
-    lcpStream(std::uint32_t t) const
-    {
-        return streams[shape.numGpes() + t];
-    }
-};
-
-/**
- * An owned columnar trace: either decoded from a Trace (the
- * conversion path kernels and readTraceText feed) or loaded from a
- * columnar file (mmap-backed; kind/pc columns are served zero-copy
- * from the mapping). Movable, not copyable — a view into it must not
- * outlive it.
- */
-class ColumnarTrace
-{
-  public:
-    ColumnarTrace() = default;
-    ColumnarTrace(ColumnarTrace &&) = default;
-    ColumnarTrace &operator=(ColumnarTrace &&) = default;
-    ColumnarTrace(const ColumnarTrace &) = delete;
-    ColumnarTrace &operator=(const ColumnarTrace &) = delete;
-
-    /** Decode an AoS trace into owned SoA columns. */
-    static ColumnarTrace fromTrace(const Trace &trace,
-                                   std::uint64_t footprint = 0,
-                                   std::uint64_t epoch_fpops = 0,
-                                   std::uint64_t declared_epochs = 0);
-
-    /** Rebuild the AoS form; exact inverse of fromTrace()/a file. */
-    Trace toTrace() const;
-
-    /** The SoA view; valid while this ColumnarTrace is alive. */
-    TraceView view() const;
-
-    const SystemShape &shape() const { return shapeV; }
-    std::uint64_t footprint() const { return footprintV; }
-    std::uint64_t epochFpOps() const { return epochFpOpsV; }
-    std::uint64_t declaredEpochs() const { return declaredEpochsV; }
-
-  private:
-    friend Result<ColumnarTrace>
-    readTraceColumnarFile(const std::string &path);
-
-    SystemShape shapeV;
-    std::uint64_t footprintV = 0;
-    std::uint64_t epochFpOpsV = 0;
-    std::uint64_t declaredEpochsV = 0;
-    std::uint64_t totalFpOpsV = 0;
-    std::uint64_t totalOpsV = 0;
-    std::vector<std::string> phasesV;
-
-    /** Per-stream column spans (GPE-first canonical order). */
-    std::vector<StreamView> streamsV;
-
-    /** Owned column storage for the conversion/decode paths. */
-    std::vector<std::uint8_t> kindsV;
-    std::vector<std::uint16_t> pcsV;
-    std::vector<Addr> addrsV;
-
-    /** Keeps a file mapping alive for zero-copy columns. */
-    std::shared_ptr<void> mappingV;
-};
-
 /**
  * Write a trace as a columnar file. Atomicity is not needed (trace
  * files are build artifacts, not logs); a torn write is detected by
@@ -171,12 +68,14 @@ writeTraceColumnarFile(const Trace &trace, const std::string &path,
                        std::uint64_t declared_epochs = 0);
 
 /**
- * Load a columnar trace file via mmap. Verifies the header, every
- * section CRC, the canonical section order, column-length agreement,
- * op-kind validity and phase-id references; any violation — including
- * a torn tail or trailing garbage — is a recoverable error.
+ * Load a columnar trace file and its metadata. Verifies the header,
+ * every section CRC, the canonical section order, column-length
+ * agreement with the payloads and the meta totals, op-kind validity
+ * and phase-id references; any violation — including a torn tail,
+ * trailing garbage or a declared count no payload could hold — is a
+ * recoverable error.
  */
-[[nodiscard]] Result<ColumnarTrace>
+[[nodiscard]] Result<TraceText>
 readTraceColumnarFile(const std::string &path);
 
 /**

@@ -609,16 +609,7 @@ SimResult
 Transmuter::run(const Trace &trace, const HwConfig &cfg,
                 std::size_t max_epochs) const
 {
-    const ColumnarTrace soa = ColumnarTrace::fromTrace(trace);
-    return runImpl(soa.view(), cfg, nullptr, nullptr, true, nullptr,
-                   max_epochs);
-}
-
-SimResult
-Transmuter::run(const TraceView &trace, const HwConfig &cfg,
-                std::size_t max_epochs) const
-{
-    return runImpl(trace, cfg, nullptr, nullptr, true, nullptr,
+    return runImpl(trace.view(), cfg, nullptr, nullptr, true, nullptr,
                    max_epochs);
 }
 
@@ -629,19 +620,7 @@ Transmuter::runSchedule(const Trace &trace, const Schedule &schedule,
                         FaultInjector *faults) const
 {
     SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
-    const ColumnarTrace soa = ColumnarTrace::fromTrace(trace);
-    return runImpl(soa.view(), schedule.configs.front(), &schedule,
-                   &cost_model, energy_efficient_mode, faults, 0);
-}
-
-SimResult
-Transmuter::runSchedule(const TraceView &trace, const Schedule &schedule,
-                        const ReconfigCostModel &cost_model,
-                        bool energy_efficient_mode,
-                        FaultInjector *faults) const
-{
-    SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
-    return runImpl(trace, schedule.configs.front(), &schedule,
+    return runImpl(trace.view(), schedule.configs.front(), &schedule,
                    &cost_model, energy_efficient_mode, faults, 0);
 }
 

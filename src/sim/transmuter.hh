@@ -22,7 +22,6 @@
 #include "sim/reconfig.hh"
 #include "sim/schedule.hh"
 #include "sim/trace.hh"
-#include "sim/trace_columnar.hh"
 
 namespace sadapt {
 
@@ -121,15 +120,9 @@ class Transmuter
     explicit Transmuter(const RunParams &params);
 
     /**
-     * Replay a trace under a configuration.
-     *
-     * The engine consumes columnar SoA spans; the Trace overload
-     * converts first (one pass over the ops) and is bit-identical to
-     * replaying the equivalent TraceView. Sweeps that replay the same
-     * trace many times should convert once (ColumnarTrace::fromTrace
-     * or a columnar file) and pass the view. Convert at the first
-     * replay, not up front, as EpochDb does: a sweep served from the
-     * epoch store then never converts.
+     * Replay a trace under a configuration. The engine reads the
+     * trace's columns in place (Trace::view()), so a replay copies no
+     * ops and concurrent replays may share one trace.
      *
      * @param trace functional trace (shape must match RunParams).
      * @param cfg the hardware configuration to model.
@@ -142,10 +135,6 @@ class Transmuter
      *        traffic-script budget) skip the rest of the replay.
      */
     SimResult run(const Trace &trace, const HwConfig &cfg,
-                  std::size_t max_epochs = 0) const;
-
-    /** As run(Trace), but over a pre-converted columnar view. */
-    SimResult run(const TraceView &trace, const HwConfig &cfg,
                   std::size_t max_epochs = 0) const;
 
     /**
@@ -166,13 +155,6 @@ class Transmuter
      *        path.
      */
     SimResult runSchedule(const Trace &trace, const Schedule &schedule,
-                          const ReconfigCostModel &cost_model,
-                          bool energy_efficient_mode,
-                          FaultInjector *faults = nullptr) const;
-
-    /** As runSchedule(Trace), but over a pre-converted columnar view. */
-    SimResult runSchedule(const TraceView &trace,
-                          const Schedule &schedule,
                           const ReconfigCostModel &cost_model,
                           bool energy_efficient_mode,
                           FaultInjector *faults = nullptr) const;

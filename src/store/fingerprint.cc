@@ -22,58 +22,24 @@ laneRound(std::uint64_t acc, std::uint64_t v)
     return std::rotl(acc + v * laneP2, 31) * laneP1;
 }
 
-/** The two words one op folds into its lane. */
-struct OpWords
-{
-    std::uint64_t addr;
-    std::uint64_t site; //!< pc | kind << 16
-};
-
-/** Per-op access for both stream forms: op count and op words. */
-std::size_t
-opCount(const std::vector<TraceOp> &s)
-{
-    return s.size();
-}
-
-OpWords
-opWords(const std::vector<TraceOp> &s, std::size_t i)
-{
-    return {s[i].addr,
-            s[i].pc | static_cast<std::uint64_t>(s[i].kind) << 16};
-}
-
-std::size_t
-opCount(const StreamView &s)
-{
-    return s.size;
-}
-
-OpWords
-opWords(const StreamView &s, std::size_t i)
-{
-    return {s.addr[i], s.pc[i] | std::uint64_t{s.kind[i]} << 16};
-}
-
 /**
- * Hash one core stream (an AoS vector or a column view, which fold
- * identically): op i goes to lane i mod 4, so the four lanes are
- * independent multiply chains (kept in registers, hence no array);
- * the op count and then the four lane states are folded into `h` at
- * stream end.
+ * Hash one core stream: op i folds `addr` and then `pc | kind << 16`
+ * into lane i mod 4, so the four lanes are independent multiply
+ * chains (kept in registers, hence no array); the op count and then
+ * the four lane states are folded into `h` at stream end.
  */
-template <typename Stream>
 void
-hashStream(Fnv1a &h, const Stream &stream)
+hashStream(Fnv1a &h, const StreamView &stream)
 {
-    const std::size_t n = opCount(stream);
+    const std::size_t n = stream.size;
     std::uint64_t lane0 = laneP1 + laneP2;
     std::uint64_t lane1 = laneP2;
     std::uint64_t lane2 = 0;
     std::uint64_t lane3 = 0 - laneP1;
     auto fold = [&stream](std::uint64_t &acc, std::size_t i) {
-        const OpWords w = opWords(stream, i);
-        acc = laneRound(laneRound(acc, w.addr), w.site);
+        const std::uint64_t site =
+            stream.pc[i] | std::uint64_t{stream.kind[i]} << 16;
+        acc = laneRound(laneRound(acc, stream.addr[i]), site);
     };
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
@@ -112,18 +78,11 @@ hashEnergyParams(Fnv1a &h, const EnergyParams &e)
     h.f64(e.dramPerByte);
 }
 
-/**
- * Shared fingerprint body: both trace representations expose shape(),
- * per-core streams and phase names, and hashStream() folds an AoS
- * stream and a column-view stream into the same words and lanes, so
- * one template keeps the two public overloads colliding exactly on
- * equal content.
- */
-template <typename TraceLike, typename Phases>
+} // namespace
+
 std::uint64_t
-fingerprintImpl(const TraceLike &trace, const SystemShape &shape,
-                const Phases &phase_names, const RunParams &params,
-                MemType l1_type)
+workloadFingerprint(const Trace &trace, const RunParams &params,
+                    MemType l1_type)
 {
     Fnv1a h;
     h.u64(static_cast<std::uint64_t>(l1_type));
@@ -133,34 +92,15 @@ fingerprintImpl(const TraceLike &trace, const SystemShape &shape,
     h.u64(params.epochFpOps);
     hashEnergyParams(h, params.energy);
 
-    h.u64(shape.tiles);
-    h.u64(shape.gpesPerTile);
-    for (std::uint32_t g = 0; g < shape.numGpes(); ++g)
-        hashStream(h, trace.gpeStream(g));
-    for (std::uint32_t t = 0; t < shape.tiles; ++t)
-        hashStream(h, trace.lcpStream(t));
-    h.u64(phase_names.size());
-    for (const std::string &name : phase_names)
+    const TraceView v = trace.view();
+    h.u64(v.shape.tiles);
+    h.u64(v.shape.gpesPerTile);
+    for (const StreamView &stream : v.streams)
+        hashStream(h, stream);
+    h.u64(v.phases.size());
+    for (const std::string &name : v.phases)
         h.str(name);
     return h.value();
-}
-
-} // namespace
-
-std::uint64_t
-workloadFingerprint(const Trace &trace, const RunParams &params,
-                    MemType l1_type)
-{
-    return fingerprintImpl(trace, trace.shape(), trace.phaseNames(),
-                           params, l1_type);
-}
-
-std::uint64_t
-workloadFingerprint(const TraceView &trace, const RunParams &params,
-                    MemType l1_type)
-{
-    return fingerprintImpl(trace, trace.shape, trace.phases, params,
-                           l1_type);
 }
 
 std::uint64_t

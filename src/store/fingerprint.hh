@@ -83,18 +83,6 @@ std::uint64_t workloadFingerprint(const Trace &trace,
                                   MemType l1_type);
 
 /**
- * Same fingerprint computed from the columnar SoA view. Folds the
- * identical word sequence into the identical lanes, and the lanes
- * into the outer hash in the identical order, as the Trace overload,
- * so a trace hashes to the same key regardless of which format it was
- * loaded from — content-identical workloads hit the same store cells
- * either way.
- */
-std::uint64_t workloadFingerprint(const TraceView &trace,
-                                  const RunParams &params,
-                                  MemType l1_type);
-
-/**
  * The build's simulator salt: store schema version x build revision.
  * An unknown revision (no git at configure time) hashes the literal
  * "unknown", which keeps the store usable but means stale-model

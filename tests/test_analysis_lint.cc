@@ -212,15 +212,16 @@ TEST(Lint, TraceMmapFlaggedOutsideColumnarLoader)
     EXPECT_TRUE(hasCheck(r, "lint-trace-raw-mmap"));
 }
 
-TEST(Lint, TraceMmapAllowedInColumnarLoader)
+TEST(Lint, TraceMmapFlaggedInColumnarLoader)
 {
-    // trace_columnar is the one lifetime authority for mapped trace
-    // bytes; the loader's mmap/munmap are its whole job.
+    // The columnar loader reads files into buffers, so it has no
+    // exemption any more: no TU maps files.
     const Report r = lintSource(
         "void *p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n"
         "munmap(p, n);\n",
         "src/sim/trace_columnar.cc");
-    EXPECT_FALSE(hasCheck(r, "lint-trace-raw-mmap"));
+    EXPECT_EQ(r.errorCount(), 2u);
+    EXPECT_TRUE(hasCheck(r, "lint-trace-raw-mmap"));
 }
 
 TEST(Lint, TraceMmapExclusions)

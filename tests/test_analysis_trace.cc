@@ -117,13 +117,13 @@ TEST(TraceText, WriteReadRoundTrip)
     EXPECT_EQ(back.totalFlops(), trace.totalFlops());
     EXPECT_EQ(back.phaseNames(), trace.phaseNames());
     for (std::uint32_t g = 0; g < 2; ++g) {
-        const auto &a = trace.gpeStream(g);
-        const auto &b = back.gpeStream(g);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].addr, b[i].addr);
-            EXPECT_EQ(a[i].pc, b[i].pc);
-            EXPECT_EQ(a[i].kind, b[i].kind);
+        const StreamView a = trace.gpeStream(g);
+        const StreamView b = back.gpeStream(g);
+        ASSERT_EQ(a.size, b.size);
+        for (std::size_t i = 0; i < a.size; ++i) {
+            EXPECT_EQ(a.addr[i], b.addr[i]);
+            EXPECT_EQ(a.pc[i], b.pc[i]);
+            EXPECT_EQ(a.kind[i], b.kind[i]);
         }
     }
 }

@@ -100,8 +100,7 @@ TEST(EpochDb, InterleavedEnsureAndResultCalls)
 
 /*
  * A budgeted database records the first min(budget, N) epochs of each
- * full run, on both the serial and the parallel ensure() path, and
- * with or without an adopted columnar trace.
+ * full run, on both the serial and the parallel ensure() path.
  */
 TEST(EpochDb, BudgetKeepsABitExactPrefixOfEveryConfig)
 {
@@ -124,7 +123,7 @@ TEST(EpochDb, BudgetKeepsABitExactPrefixOfEveryConfig)
             EXPECT_EQ(serial.numEpochs(), std::min(budget, n));
             serial.ensure(cfgs);
 
-            EpochDb wide(wl, ColumnarTrace::fromTrace(wl.trace), budget);
+            EpochDb wide(wl, budget);
             wide.setJobs(4);
             wide.ensure(cfgs);
             EXPECT_EQ(wide.numEpochs(), std::min(budget, n));

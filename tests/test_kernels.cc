@@ -81,10 +81,10 @@ TEST(SpMSpMKernel, WorkSpreadAcrossGpes)
     CsrMatrix b = makeUniformRandom(64, 500, rng);
     auto build = buildSpMSpM(a, b, shape, MemType::Cache);
     for (std::uint32_t g = 0; g < shape.numGpes(); ++g)
-        EXPECT_GT(build.trace.gpeStream(g).size(), 0u);
+        EXPECT_GT(build.trace.gpeStream(g).size, 0u);
     // LCPs dispatch work.
-    EXPECT_GT(build.trace.lcpStream(0).size(), 0u);
-    EXPECT_GT(build.trace.lcpStream(1).size(), 0u);
+    EXPECT_GT(build.trace.lcpStream(0).size, 0u);
+    EXPECT_GT(build.trace.lcpStream(1).size, 0u);
 }
 
 TEST(SpMSpMKernel, RunsOnSimulator)

@@ -23,7 +23,6 @@
 
 #include "adapt/epoch_db.hh"
 #include "common/rng.hh"
-#include "sim/trace_columnar.hh"
 #include "sparse/generators.hh"
 #include "store/crc32.hh"
 #include "store/epoch_store.hh"
@@ -364,18 +363,6 @@ TEST(Fingerprint, MovingAnOpToAnotherCoreChangesTheKey)
     EXPECT_NE(laneKey(laneTrace(front6, back2)), base);
 }
 
-TEST(Fingerprint, TraceAndColumnarViewAgreeOnShortStreams)
-{
-    for (std::uint32_t n = 0; n <= 5; ++n) {
-        const Trace t = laneTrace(laneOps(n), laneOps(5 - n));
-        const ColumnarTrace soa = ColumnarTrace::fromTrace(t);
-        EXPECT_EQ(store::workloadFingerprint(soa.view(), RunParams{},
-                                             MemType::Cache),
-                  laneKey(t))
-            << n << " ops";
-    }
-}
-
 // ----------------------------------------------------------- EpochStore
 
 TEST(EpochStore, RoundTripThroughMemoryAndDisk)
@@ -698,9 +685,6 @@ TEST(EpochDbStore, EpochBudgetIsPartOfTheKey)
     EpochDb full(wl);
     full.attachStore(&st);
     EXPECT_EQ(full.storeFingerprint(), plain);
-    EpochDb adopted(wl, ColumnarTrace::fromTrace(wl.trace));
-    adopted.attachStore(&st);
-    EXPECT_EQ(adopted.storeFingerprint(), plain);
 
     EpochDb cut(wl, budget);
     cut.attachStore(&st);

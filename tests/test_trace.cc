@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include "sim/trace.hh"
 
 using namespace sadapt;
@@ -15,9 +19,11 @@ TEST(Trace, ShapeAndStreams)
     EXPECT_EQ(t.shape().numGpes(), 8u);
     t.pushGpe(3, {0x10, 1, OpKind::FpLoad});
     t.pushLcp(1, {0, 0, OpKind::IntOp});
-    EXPECT_EQ(t.gpeStream(3).size(), 1u);
-    EXPECT_EQ(t.lcpStream(1).size(), 1u);
-    EXPECT_EQ(t.gpeStream(0).size(), 0u);
+    EXPECT_EQ(t.gpeStream(3).size, 1u);
+    EXPECT_EQ(t.lcpStream(1).size, 1u);
+    EXPECT_EQ(t.gpeStream(0).size, 0u);
+    EXPECT_EQ(t.gpeStream(3).op(0).addr, 0x10u);
+    EXPECT_EQ(t.gpeStream(3).op(0).kind, OpKind::FpLoad);
 }
 
 TEST(Trace, FlopCountingIncludesFpLoadsAndStores)
@@ -42,14 +48,15 @@ TEST(Trace, PhaseMarkersBroadcastToAllCores)
     EXPECT_EQ(t.phaseNames()[1], "merge");
     // Every GPE stream has both markers.
     for (std::uint32_t g = 0; g < 4; ++g) {
+        const StreamView s = t.gpeStream(g);
         int markers = 0;
-        for (const auto &op : t.gpeStream(g))
-            markers += op.kind == OpKind::Phase;
+        for (std::size_t i = 0; i < s.size; ++i)
+            markers += s.op(i).kind == OpKind::Phase;
         EXPECT_EQ(markers, 2);
     }
     // Marker addr encodes the phase id.
-    EXPECT_EQ(t.gpeStream(1)[0].addr, 0u);
-    EXPECT_EQ(t.gpeStream(1)[1].addr, 1u);
+    EXPECT_EQ(t.gpeStream(1).addr[0], 0u);
+    EXPECT_EQ(t.gpeStream(1).addr[1], 1u);
 }
 
 TEST(Trace, AppendOffsetsPhaseIds)
@@ -64,10 +71,10 @@ TEST(Trace, AppendOffsetsPhaseIds)
 
     a.append(b);
     EXPECT_EQ(a.phaseNames().size(), 2u);
-    const auto &s = a.gpeStream(0);
-    ASSERT_EQ(s.size(), 4u);
-    EXPECT_EQ(s[2].kind, OpKind::Phase);
-    EXPECT_EQ(s[2].addr, 1u); // re-based phase id
+    const StreamView s = a.gpeStream(0);
+    ASSERT_EQ(s.size, 4u);
+    EXPECT_EQ(s.op(2).kind, OpKind::Phase);
+    EXPECT_EQ(s.addr[2], 1u); // re-based phase id
     EXPECT_DOUBLE_EQ(a.totalFlops(), 1.0);
 }
 
@@ -76,4 +83,44 @@ TEST(TraceDeathTest, AppendRejectsShapeMismatch)
     Trace a(SystemShape{1, 2});
     Trace b(SystemShape{2, 2});
     EXPECT_DEATH(a.append(b), "different shapes");
+}
+
+TEST(Trace, CopiesAndMovesKeepTheColumns)
+{
+    // A trace holds no pointers into itself: a copy reads its own
+    // columns, and a moved or relocated trace keeps its content.
+    Trace t(SystemShape{1, 2});
+    t.beginPhase("p");
+    t.pushGpe(1, {0x40, 9, OpKind::FpLoad});
+    const Trace copy = t;
+    EXPECT_NE(copy.gpeStream(1).addr, t.gpeStream(1).addr);
+    EXPECT_EQ(copy.gpeStream(1).op(1).addr, 0x40u);
+    EXPECT_EQ(copy.view().totalFpOps, 1u);
+
+    std::vector<Trace> traces;
+    traces.push_back(std::move(t));
+    for (int i = 0; i < 8; ++i)
+        traces.push_back(copy); // relocates traces[0]
+    const StreamView s = traces[0].gpeStream(1);
+    ASSERT_EQ(s.size, 2u);
+    EXPECT_EQ(s.op(1).pc, 9u);
+    EXPECT_EQ(traces[0].totalOps(), 4u);
+    EXPECT_DOUBLE_EQ(traces[0].totalFlops(), 1.0);
+}
+
+TEST(TraceText, RejectsShapeThatWrapsWhenMultiplied)
+{
+    // 2^63 * 2 wraps to 0 in u64; each dimension is bounded before
+    // the product is formed.
+    for (const char *shape : {"shape 9223372036854775808 2\n",
+                              "shape 2 9223372036854775808\n",
+                              "shape 4294967296 4294967296\n",
+                              "shape 4097 1\n"}) {
+        std::istringstream in(std::string("sadapt-trace v1\n") +
+                              shape + "end\n");
+        const Result<TraceText> r = readTraceText(in);
+        ASSERT_FALSE(r.isOk()) << shape;
+        EXPECT_NE(r.message().find("exceeds"), std::string::npos)
+            << r.message();
+    }
 }

@@ -60,10 +60,12 @@ TEST(WorkloadFactory, OptionsPlumbThrough)
     EXPECT_EQ(wl.l1Type, MemType::Spm);
     // SPM traces carry scratchpad ops.
     bool has_spm_op = false;
-    for (std::uint32_t g = 0; g < 16; ++g)
-        for (const auto &op : wl.trace.gpeStream(g))
-            has_spm_op |= op.kind == OpKind::SpmLoad ||
-                op.kind == OpKind::SpmStore;
+    for (std::uint32_t g = 0; g < 16; ++g) {
+        const StreamView s = wl.trace.gpeStream(g);
+        for (std::size_t i = 0; i < s.size; ++i)
+            has_spm_op |= s.op(i).kind == OpKind::SpmLoad ||
+                s.op(i).kind == OpKind::SpmStore;
+    }
     EXPECT_TRUE(has_spm_op);
 }
 

@@ -39,15 +39,15 @@ fail(const std::string &message)
 int
 toText(const std::string &in_path, const std::string &out_path)
 {
-    Result<ColumnarTrace> loaded = readTraceColumnarFile(in_path);
+    Result<TraceText> loaded = readTraceColumnarFile(in_path);
     if (!loaded.isOk())
         return fail(in_path + ": " + loaded.status().message());
-    const ColumnarTrace &ct = loaded.value();
+    const TraceText &tt = loaded.value();
     std::ofstream out(out_path);
     if (!out)
         return fail("cannot create " + out_path);
-    writeTraceText(ct.toTrace(), out, ct.footprint(), ct.epochFpOps(),
-                   ct.declaredEpochs());
+    writeTraceText(tt.trace, out, tt.footprint, tt.epochFpOps,
+                   tt.declaredEpochs);
     if (!out.flush())
         return fail("write failed: " + out_path);
     return 0;
