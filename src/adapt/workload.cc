@@ -34,6 +34,7 @@ makeSpMSpMWorkload(const std::string &name, const CsrMatrix &a,
                    const CsrMatrix &b, const WorkloadOptions &opts)
 {
     auto build = buildSpMSpM(CscMatrix(a), b, opts.shape, opts.l1Type);
+    build.trace.shrinkToFit();
     return Workload{name, std::move(build.trace),
                     runParamsFor(opts, 5000), opts.l1Type};
 }
@@ -44,6 +45,7 @@ makeSpMSpVWorkload(const std::string &name, const CsrMatrix &a,
 {
     SADAPT_ASSERT(x.dim() == a.cols(), "vector dimension mismatch");
     auto build = buildSpMSpV(CscMatrix(a), x, opts.shape, opts.l1Type);
+    build.trace.shrinkToFit();
     return Workload{name, std::move(build.trace),
                     runParamsFor(opts, 500), opts.l1Type};
 }

@@ -46,6 +46,7 @@ struct ServeSession
     SessionState state;
     std::size_t epochsTotal = 0;  //!< epochs this session will serve
     const EpochRecord *rec = nullptr; //!< this tick's telemetry
+    std::uint64_t fetchNs = 0; //!< this tick's fetch, for the latency
 
     ServeSession(const SessionSpec &sp, const ServeOptions &opt)
         : spec(sp),
@@ -202,15 +203,17 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
             ++nextArrival;
         }
 
-        const std::uint64_t t0 = opt.nowNs ? opt.nowNs() : 0;
-
         // Fetch (session id order): the telemetry of the epoch each
         // open session just finished. EpochDb and the shared store
         // are not thread-safe; every cache miss replays here, in a
-        // deterministic order.
+        // deterministic order. A session's decision latency is its own
+        // fetch plus its own step, never another session's work.
         for (std::size_t i : active) {
             ServeSession &s = *all[i];
+            const std::uint64_t t0 = opt.nowNs ? opt.nowNs() : 0;
             s.rec = &s.db.epochs(s.state.current)[s.state.epoch];
+            if (opt.nowNs)
+                s.fetchNs = opt.nowNs() - t0;
         }
 
         // Step (session id order): advance each session one epoch and
@@ -219,6 +222,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
         still.reserve(active.size());
         for (std::size_t i : active) {
             ServeSession &s = *all[i];
+            const std::uint64_t t0 = opt.nowNs ? opt.nowNs() : 0;
             stepEpoch(s.state, s.ctx, *s.rec);
             s.observer.emit(
                 "serve/session", "session",
@@ -231,7 +235,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
             ++out.decisions;
             ++out.epochsServed;
             if (opt.nowNs)
-                latencyNs.push_back(opt.nowNs() - t0);
+                latencyNs.push_back(s.fetchNs + (opt.nowNs() - t0));
             if (s.state.epoch >= s.epochsTotal) {
                 closeSession(s, opt, server, out.outcomes[i],
                              closed[i]);

@@ -118,7 +118,8 @@ struct ServeResult
 
     /**
      * Wall-clock decision latency, nearest-rank quantiles of every
-     * decision's sample; 0 without a clock.
+     * decision's sample (the session's own fetch plus its own step);
+     * 0 without a clock.
      */
     double decisionP50Ms = 0.0;
     double decisionP99Ms = 0.0;

@@ -18,8 +18,11 @@
 #ifndef SADAPT_SIM_TRACE_HH
 #define SADAPT_SIM_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -83,6 +86,22 @@ struct StreamView
     }
 };
 
+/**
+ * Content digest of one core stream: its op count and the four lane
+ * states of a word-wide hash. Op i folds `addr` and then
+ * `pc | kind << 16` into lane i mod 4 with an xxHash64-style round, so
+ * the lanes are independent multiply chains. store::workloadFingerprint
+ * folds these digests into a workload's store key.
+ */
+struct StreamDigest
+{
+    std::uint64_t ops = 0;
+    std::array<std::uint64_t, 4> lanes{};
+};
+
+/** Digest of one stream's ops (see StreamDigest). */
+StreamDigest digestStream(const StreamView &stream);
+
 /** System shape: tiles and GPEs per tile (Figure 12 sweeps these). */
 struct SystemShape
 {
@@ -132,7 +151,8 @@ struct TraceView
  * A complete device program trace: one op stream per GPE and one per
  * LCP, plus named phases. Each stream is stored as three columns;
  * the trace holds no pointers into itself, so it copies and moves
- * like the vectors it is made of.
+ * like the vectors it is made of (plus its digest memo, see
+ * streamDigests()).
  */
 class Trace
 {
@@ -262,11 +282,68 @@ class Trace
     /** The column view the replay engine and the writers read. */
     TraceView view() const;
 
+    /**
+     * Release the columns' spare capacity. Columns grow by doubling
+     * while a kernel pushes, so a finished trace holds up to twice
+     * its ops; the workload factories call this once the kernel is
+     * done, so a resident workload holds exactly its ops.
+     */
+    void shrinkToFit();
+
+    /** Per-stream digests, in view() order. */
+    using StreamDigests = std::vector<StreamDigest>;
+
+    /**
+     * digestStream() of every stream, hashed once and memoized. The
+     * memo is stamped with the total op count and the phase count;
+     * the columns are append-only, so any push (through a writer
+     * still live from before the memo, too), append(), beginPhase()
+     * or registerPhase() moves the stamp and the next call re-hashes.
+     * Safe to call from several threads on a const trace; not while
+     * another thread appends. A copy starts with an empty memo, a
+     * move takes it along.
+     */
+    std::shared_ptr<const StreamDigests> streamDigests() const;
+
   private:
+    /** The memo behind streamDigests(), guarded by its own mutex. */
+    struct DigestMemo
+    {
+        DigestMemo() = default;
+        DigestMemo(const DigestMemo &) {}
+        DigestMemo(DigestMemo &&other) noexcept
+            : ops(other.ops), phases(other.phases),
+              digests(std::move(other.digests))
+        {
+        }
+
+        DigestMemo &
+        operator=(const DigestMemo &)
+        {
+            digests.reset();
+            return *this;
+        }
+
+        DigestMemo &
+        operator=(DigestMemo &&other) noexcept
+        {
+            ops = other.ops;
+            phases = other.phases;
+            digests = std::move(other.digests);
+            return *this;
+        }
+
+        std::mutex mu;
+        std::uint64_t ops = 0;
+        std::size_t phases = 0;
+        std::shared_ptr<const StreamDigests> digests; //!< null: none
+    };
+
     SystemShape shapeV;
     /** Canonical order: GPE streams 0..N-1, then LCP streams. */
     std::vector<Columns> streamsV;
     std::vector<std::string> phases;
+    mutable DigestMemo memo;
 };
 
 /** Short mnemonic of an op kind in the text trace format. */

@@ -1,6 +1,5 @@
 #include "store/epoch_store.hh"
 
-#include <algorithm>
 #include <bit>
 #include <filesystem>
 
@@ -201,12 +200,18 @@ decodeStoreRecord(std::string_view payload)
     return cell;
 }
 
+std::size_t
+residentBytes(const SimResult &res)
+{
+    return sizeof(SimResult) + res.epochs.size() * sizeof(EpochRecord);
+}
+
 Status
 EpochStore::open(const std::string &path, const StoreOptions &opts)
 {
     close();
     saltV = opts.simSalt != 0 ? opts.simSalt : buildSimSalt();
-    maxResidentV = std::max<std::size_t>(1, opts.maxResidentResults);
+    maxResidentBytesV = opts.maxResidentBytes;
 
     ScanResult scan;
     SADAPT_TRY_STATUS(log.open(path, scan));
@@ -325,6 +330,10 @@ EpochStore::get(std::uint64_t fingerprint, const HwConfig &cfg)
             }
             res.epochs.push_back(cell.value().epoch);
         }
+        statsV.diskCellReads += res.epochs.size();
+        if (metricsV)
+            metricsV->counter("store/disk_cell_reads")
+                .add(res.epochs.size());
         if (intact) {
             ++statsV.hits;
             statsV.servedEpochCells += res.epochs.size();
@@ -369,7 +378,12 @@ EpochStore::put(std::uint64_t fingerprint, const HwConfig &cfg,
 
     const bool wasComplete = entry.complete();
     std::uint64_t appended = 0;
-    for (const EpochRecord &epoch : res.epochs) {
+    // True while every cell sits at its own index, so `res` equals
+    // what get() would decode from disk once the entry is complete.
+    bool inOrder = true;
+    for (std::size_t i = 0; i < res.epochs.size(); ++i) {
+        const EpochRecord &epoch = res.epochs[i];
+        inOrder = inOrder && epoch.index == i;
         if (epoch.index >= epochCount) {
             warn(str("store: ", path(), ": epoch index ", epoch.index,
                      " out of range in put(); skipping that cell"));
@@ -404,20 +418,26 @@ EpochStore::put(std::uint64_t fingerprint, const HwConfig &cfg,
                 .set(static_cast<double>(statsV.diskResults));
         }
     }
-    touchLru(key, res);
+    // Resident only what the disk can serve too, so hit or miss never
+    // depends on LRU state.
+    if (inOrder && entry.complete())
+        touchLru(key, res);
 }
 
 void
 EpochStore::touchLru(const ResultKey &key, SimResult res)
 {
+    residentBytesV += residentBytes(res);
     if (auto it = lruIndex.find(key); it != lruIndex.end()) {
         lruList.splice(lruList.begin(), lruList, it->second);
+        residentBytesV -= residentBytes(it->second->second);
         it->second->second = std::move(res);
-        return;
+    } else {
+        lruList.emplace_front(key, std::move(res));
+        lruIndex[key] = lruList.begin();
     }
-    lruList.emplace_front(key, std::move(res));
-    lruIndex[key] = lruList.begin();
-    while (lruList.size() > maxResidentV) {
+    while (residentBytesV > maxResidentBytesV) {
+        residentBytesV -= residentBytes(lruList.back().second);
         lruIndex.erase(lruList.back().first);
         lruList.pop_back();
         ++statsV.evictions;
@@ -517,6 +537,7 @@ EpochStore::compact()
     statsV.putResults = traffic.putResults;
     statsV.putRecords = traffic.putRecords;
     statsV.servedEpochCells = traffic.servedEpochCells;
+    statsV.diskCellReads = traffic.diskCellReads;
     statsV.corruptRecords = scan.corruptRecords;
     statsV.tornTailBytes = scan.tornTailBytes;
     indexScannedRecords(scan);
@@ -574,6 +595,7 @@ EpochStore::close()
     diskIndex.clear();
     lruList.clear();
     lruIndex.clear();
+    residentBytesV = 0;
     statsV = StoreStats{};
     flushedHits = flushedMisses = flushedPutRecords = 0;
 }

@@ -100,9 +100,17 @@ struct StoreOptions
      */
     std::uint64_t simSalt = 0;
 
-    /** In-memory LRU capacity, in full SimResults. */
-    std::size_t maxResidentResults = 64;
+    /**
+     * In-memory LRU capacity, in decoded bytes (residentBytes() of
+     * each resident SimResult). The default holds about 290k epoch
+     * cells, so a sweep's whole working set stays resident and a
+     * repeated get() never decodes from disk.
+     */
+    std::size_t maxResidentBytes = std::size_t{64} << 20;
 };
+
+/** Decoded size of a result, as the resident LRU charges it. */
+std::size_t residentBytes(const SimResult &res);
 
 /** Cumulative statistics of one EpochStore instance. */
 struct StoreStats
@@ -113,6 +121,7 @@ struct StoreStats
     std::uint64_t putResults = 0; //!< put() calls that appended records
     std::uint64_t putRecords = 0; //!< epoch-cell records appended
     std::uint64_t servedEpochCells = 0; //!< cells of all served results
+    std::uint64_t diskCellReads = 0; //!< cells get() decoded from disk
 
     std::uint64_t diskRecords = 0; //!< usable cells indexed from disk
     std::uint64_t diskResults = 0; //!< complete results indexed on disk
@@ -223,7 +232,8 @@ class EpochStore
 
     RecordLog log;
     std::uint64_t saltV = 0;
-    std::size_t maxResidentV = 64;
+    std::size_t maxResidentBytesV = 0;
+    std::size_t residentBytesV = 0; //!< residentBytes() of lruList
 
     //!< std::map: deterministic iteration for compact().
     std::map<ResultKey, DiskEntry> diskIndex;

@@ -10,9 +10,13 @@
  *    system parameters the replay runs under (shape, bandwidth, epoch
  *    FP-op length, every energy-model constant) and the compile-time
  *    L1 memory type. The ops of a stream go through a word-wide 4-lane
- *    hash (op i into lane i mod 4, an xxHash64-style round per word)
- *    whose op count and lane states close the stream in the outer
- *    FNV-1a; everything else is folded into the FNV-1a directly. Two
+ *    hash (sadapt::digestStream: op i into lane i mod 4, an
+ *    xxHash64-style round per word) whose op count and lane states
+ *    close the stream in the outer FNV-1a; everything else is folded
+ *    into the FNV-1a directly. The trace memoizes its stream digests
+ *    (Trace::streamDigests), so a resident workload pays the per-op
+ *    hash once, while the run parameters are re-hashed on every call
+ *    and an edited RunParams always gets a fresh key. Two
  *    workloads collide only if their replays are
  *    identical by construction. Fault injection never flows through
  *    EpochDb replays (the live runSchedule path does not memoize), so

@@ -349,9 +349,10 @@ TEST(Serve, MergedArtifactsAreByteIdenticalAcrossWindows)
 
 /*
  * Decision latency is reported as exact nearest-rank quantiles of the
- * raw samples. With a window of one, every tick reads the clock twice
- * (tick start, then the one decision), so a clock returning k^2 us on
- * its k-th call makes the i-th decision take (4i + 1) us.
+ * raw samples. A sample is the session's own fetch plus its own step,
+ * each bracketed by two clock reads. With a window of one, every tick
+ * reads the clock four times, so a clock returning k^2 us on its k-th
+ * call makes the i-th decision take (8i + 1) + (8i + 5) = 16i + 6 us.
  */
 TEST(Serve, DecisionLatencyQuantilesAreExactNearestRank)
 {
@@ -366,14 +367,38 @@ TEST(Serve, DecisionLatencyQuantilesAreExactNearestRank)
     ASSERT_TRUE(r.isOk()) << r.message();
     const std::uint64_t n = r.value().epochsServed;
     ASSERT_GT(n, 2u);
-    ASSERT_EQ(calls, 2 * n);
+    ASSERT_EQ(calls, 4 * n);
 
     auto wantMs = [n](std::uint64_t pct) {
         const std::uint64_t rank = (n * pct + 99) / 100;
-        return static_cast<double>((4 * (rank - 1) + 1) * 1000) / 1e6;
+        return static_cast<double>((16 * (rank - 1) + 6) * 1000) / 1e6;
     };
     EXPECT_EQ(r.value().decisionP50Ms, wantMs(50));
     EXPECT_EQ(r.value().decisionP99Ms, wantMs(99));
+}
+
+/*
+ * With two sessions open per tick, one session's sample must not
+ * include the other's fetch or step. Every fetch and every step is
+ * bracketed by its own two clock reads, so a span that covered another
+ * session's work would also cover that work's reads. A clock that
+ * advances 1 us per call therefore reads exactly 1 us per timed
+ * interval, 2 us per sample, only if no sample spans foreign work.
+ */
+TEST(Serve, DecisionLatencyExcludesOtherSessionsWork)
+{
+    const serve::TrafficScript script = testScript(4);
+    serve::ServeOptions so = testOptions(2);
+    std::uint64_t calls = 0;
+    so.nowNs = [&calls] { return 1000 * calls++; };
+    auto r = serve::runServe(script, so);
+    ASSERT_TRUE(r.isOk()) << r.message();
+    const serve::ServeResult &res = r.value();
+    // Some tick served two sessions at once.
+    ASSERT_LT(res.ticks, res.epochsServed);
+    EXPECT_EQ(calls, 4 * res.epochsServed);
+    EXPECT_EQ(res.decisionP50Ms, 0.002);
+    EXPECT_EQ(res.decisionP99Ms, 0.002);
 }
 
 TEST(Serve, MergedJournalPassesTheValidator)

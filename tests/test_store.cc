@@ -23,6 +23,7 @@
 
 #include "adapt/epoch_db.hh"
 #include "common/rng.hh"
+#include "common/threading.hh"
 #include "sparse/generators.hh"
 #include "store/crc32.hh"
 #include "store/epoch_store.hh"
@@ -62,12 +63,29 @@ smallWorkload(std::uint64_t epoch_fp = 100)
 constexpr std::uint64_t testSalt = 0x5ad7;
 
 store::StoreOptions
-testOptions(std::size_t resident = 64)
+testOptions(std::size_t resident_bytes = std::size_t{64} << 20)
 {
     store::StoreOptions o;
     o.simSalt = testSalt;
-    o.maxResidentResults = resident;
+    o.maxResidentBytes = resident_bytes;
     return o;
+}
+
+/** A synthetic `n`-epoch result, cells in index order, tagged by `tag`. */
+SimResult
+syntheticResult(std::uint32_t n, double tag)
+{
+    SimResult r;
+    r.config = baselineConfig();
+    for (std::uint32_t i = 0; i < n; ++i) {
+        EpochRecord e;
+        e.index = i;
+        e.cycles = 100 + i;
+        e.seconds = tag + i;
+        e.flops = 10.0 * (i + 1);
+        r.epochs.push_back(e);
+    }
+    return r;
 }
 
 /** Flip one byte of a file in place (simulates media corruption). */
@@ -363,6 +381,123 @@ TEST(Fingerprint, MovingAnOpToAnotherCoreChangesTheKey)
     EXPECT_NE(laneKey(laneTrace(front6, back2)), base);
 }
 
+/*
+ * The trace memoizes its stream digests, stamped with its op and phase
+ * counts. Every way to grow a trace after it was hashed must re-key it
+ * to exactly the hash of a trace built from scratch in the final state.
+ */
+TEST(Fingerprint, MemoFollowsAPushThroughALiveWriter)
+{
+    Trace t = laneTrace(laneOps(5));
+    Trace::StreamWriter w = t.gpeWriter(1);
+    const std::uint64_t before = laneKey(t);
+    w.push(laneOp(50));
+    const std::uint64_t after = laneKey(t);
+    EXPECT_NE(after, before);
+    EXPECT_EQ(after, laneKey(laneTrace(laneOps(5), {laneOp(50)})));
+}
+
+TEST(Fingerprint, MemoFollowsAppendAndPhases)
+{
+    const std::vector<TraceOp> ops = laneOps(6);
+    {
+        Trace t = laneTrace(ops);
+        const std::uint64_t before = laneKey(t);
+        t.append(laneTrace(laneOps(3)));
+        Trace fresh = laneTrace(ops);
+        fresh.append(laneTrace(laneOps(3)));
+        EXPECT_NE(laneKey(t), before);
+        EXPECT_EQ(laneKey(t), laneKey(fresh));
+    }
+    {
+        Trace t = laneTrace(ops);
+        const std::uint64_t before = laneKey(t);
+        t.beginPhase("gather");
+        Trace fresh = laneTrace(ops);
+        fresh.beginPhase("gather");
+        EXPECT_NE(laneKey(t), before);
+        EXPECT_EQ(laneKey(t), laneKey(fresh));
+    }
+    {
+        Trace t = laneTrace(ops);
+        const std::uint64_t before = laneKey(t);
+        t.registerPhase("merge");
+        Trace fresh = laneTrace(ops);
+        fresh.registerPhase("merge");
+        EXPECT_NE(laneKey(t), before);
+        EXPECT_EQ(laneKey(t), laneKey(fresh));
+    }
+}
+
+TEST(Fingerprint, MemoNeverCoversTheRunParams)
+{
+    Workload wl = smallWorkload();
+    const std::uint64_t before =
+        store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
+    wl.params.epochFpOps += 1;
+    const std::uint64_t after =
+        store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
+    const Trace fresh = wl.trace; // a copy starts with no memo
+    EXPECT_NE(after, before);
+    EXPECT_EQ(after,
+              store::workloadFingerprint(fresh, wl.params, wl.l1Type));
+}
+
+TEST(Fingerprint, MemoFollowsCopiesAndMoves)
+{
+    const std::vector<TraceOp> ops = laneOps(7);
+    const std::vector<TraceOp> reversed(ops.rbegin(), ops.rend());
+    Trace t = laneTrace(ops);
+    const std::uint64_t original = laneKey(t);
+
+    Trace copy = t;
+    copy.pushGpe(0, laneOp(60));
+    std::vector<TraceOp> grown = ops;
+    grown.push_back(laneOp(60));
+    EXPECT_EQ(laneKey(copy), laneKey(laneTrace(grown)));
+    EXPECT_EQ(laneKey(t), original);
+
+    // Assignment over a hashed trace with the same op count (the same
+    // stamp) must not keep the target's digests.
+    Trace assigned = laneTrace(reversed);
+    EXPECT_NE(laneKey(assigned), original);
+    assigned = t;
+    EXPECT_EQ(laneKey(assigned), original);
+    assigned.pushLcp(0, laneOp(61));
+    Trace fresh = laneTrace(ops);
+    fresh.pushLcp(0, laneOp(61));
+    EXPECT_EQ(laneKey(assigned), laneKey(fresh));
+
+    Trace moved = laneTrace(reversed);
+    EXPECT_NE(laneKey(moved), original);
+    moved = std::move(t);
+    EXPECT_EQ(laneKey(moved), original);
+    moved.pushGpe(1, laneOp(62));
+    EXPECT_EQ(laneKey(moved), laneKey(laneTrace(ops, {laneOp(62)})));
+}
+
+/*
+ * Two threads fingerprint one const workload at once, on a trace that
+ * has not been hashed yet, so both race to fill the memo. Under TSan
+ * (the threading|store stage) this also checks the memo's locking.
+ */
+TEST(Fingerprint, ConcurrentFingerprintsOfOneWorkloadAgree)
+{
+    const Workload base = smallWorkload();
+    const std::uint64_t want =
+        store::workloadFingerprint(base.trace, base.params, base.l1Type);
+    for (int round = 0; round < 8; ++round) {
+        const Workload wl = base; // a copy starts with no memo
+        std::uint64_t got[2] = {0, 0};
+        parallelFor(2, 2, [&](std::size_t i) {
+            got[i] =
+                store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
+        });
+        EXPECT_EQ(got[0], want) << "round " << round;
+        EXPECT_EQ(got[1], want) << "round " << round;
+    }
+}
+
 // ----------------------------------------------------------- EpochStore
 
 TEST(EpochStore, RoundTripThroughMemoryAndDisk)
@@ -436,19 +571,111 @@ TEST(EpochStore, LruEvictionKeepsDiskCopies)
     const std::uint64_t fp =
         store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
 
+    // A byte budget that holds exactly one of the two results.
+    ASSERT_EQ(store::residentBytes(r0), store::residentBytes(r1));
     store::EpochStore st;
-    ASSERT_TRUE(st.open(path, testOptions(1)).isOk());
+    ASSERT_TRUE(
+        st.open(path, testOptions(store::residentBytes(r0))).isOk());
     st.put(fp, baselineConfig(), r0);
+    EXPECT_EQ(st.stats().evictions, 0u);
     st.put(fp, maxConfig(), r1); // evicts r0 from the LRU
-    EXPECT_GE(st.stats().evictions, 1u);
+    EXPECT_EQ(st.stats().evictions, 1u);
 
-    // Both results still served (the evicted one re-read from disk).
+    // Both results still served, each re-read from disk in turn.
     const auto h0 = st.get(fp, baselineConfig());
+    EXPECT_EQ(st.stats().diskCellReads, r0.epochs.size());
     const auto h1 = st.get(fp, maxConfig());
+    EXPECT_EQ(st.stats().diskCellReads,
+              r0.epochs.size() + r1.epochs.size());
+    EXPECT_EQ(st.stats().evictions, 3u);
     ASSERT_TRUE(h0.has_value());
     ASSERT_TRUE(h1.has_value());
     expectResultsEqual(*h0, r0);
     expectResultsEqual(*h1, r1);
+}
+
+/*
+ * A warm sweep cycles over its whole working set. The count cap this
+ * budget replaced held 64 results, so a cycle over more than that
+ * evicted every result before its next get() and decoded it from disk
+ * again. Under the byte budget the first pass decodes each cell once
+ * and every later pass is served from memory.
+ */
+TEST(EpochStore, WarmCycleOverManyResultsNeverThrashes)
+{
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("cycle.store");
+    constexpr std::uint32_t kResults = 80;
+    constexpr std::uint32_t kEpochs = 3;
+    {
+        store::EpochStore st;
+        ASSERT_TRUE(st.open(path, testOptions()).isOk());
+        for (std::uint32_t k = 0; k < kResults; ++k)
+            st.put(1000 + k, baselineConfig(),
+                   syntheticResult(kEpochs, k));
+        st.flush();
+    }
+    ASSERT_LT(kResults * store::residentBytes(syntheticResult(kEpochs, 0)),
+              testOptions().maxResidentBytes);
+
+    store::EpochStore st;
+    ASSERT_TRUE(st.open(path, testOptions()).isOk());
+    for (int pass = 0; pass < 3; ++pass) {
+        for (std::uint32_t k = 0; k < kResults; ++k) {
+            const auto hit = st.get(1000 + k, baselineConfig());
+            ASSERT_TRUE(hit.has_value()) << "pass " << pass << " k " << k;
+            expectResultsEqual(*hit, syntheticResult(kEpochs, k));
+        }
+        EXPECT_EQ(st.stats().evictions, 0u) << "pass " << pass;
+        EXPECT_EQ(st.stats().diskCellReads, kResults * kEpochs)
+            << "pass " << pass;
+    }
+    EXPECT_EQ(st.stats().hits, 3u * kResults);
+}
+
+/*
+ * put() skips a cell whose index is taken or out of range, so a result
+ * with a duplicated index leaves its disk entry incomplete. It must not
+ * become resident either: get() is then a miss in this process, as it
+ * is in a fresh one, whatever the LRU holds.
+ */
+TEST(EpochStore, ResultWithDuplicatedEpochIndexIsNeverServed)
+{
+    const test::ScratchDir scratch;
+    const std::string path = scratch.path("dup.store");
+    const std::uint64_t fp = 77;
+    SimResult dup = syntheticResult(3, 0.5);
+    dup.epochs[2] = dup.epochs[1]; // index 1 twice, index 2 missing
+    {
+        store::EpochStore st;
+        ASSERT_TRUE(st.open(path, testOptions()).isOk());
+        st.put(fp, baselineConfig(), dup);
+        EXPECT_EQ(st.stats().putRecords, 2u);
+        EXPECT_FALSE(st.get(fp, baselineConfig()).has_value());
+        st.flush();
+    }
+    store::EpochStore st;
+    ASSERT_TRUE(st.open(path, testOptions()).isOk());
+    EXPECT_FALSE(st.get(fp, baselineConfig()).has_value());
+
+    // The well-formed result completes the entry with its one missing
+    // cell; from then on memory and disk serve the same cells.
+    const SimResult good = syntheticResult(3, 0.5);
+    st.put(fp, baselineConfig(), good);
+    EXPECT_EQ(st.stats().putRecords, 1u);
+    const auto hit = st.get(fp, baselineConfig());
+    ASSERT_TRUE(hit.has_value());
+    expectResultsEqual(*hit, good);
+
+    // Cells given out of index order complete a fresh entry, but only
+    // the disk's index-ordered decode is served.
+    SimResult shuffled = good;
+    std::swap(shuffled.epochs[0], shuffled.epochs[2]);
+    st.put(fp + 1, baselineConfig(), shuffled);
+    const auto ordered = st.get(fp + 1, baselineConfig());
+    ASSERT_TRUE(ordered.has_value());
+    EXPECT_EQ(st.stats().diskCellReads, 3u);
+    expectResultsEqual(*ordered, good);
 }
 
 TEST(EpochStore, PartialResultResumesWithOnlyMissingCells)

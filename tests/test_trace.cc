@@ -108,6 +108,29 @@ TEST(Trace, CopiesAndMovesKeepTheColumns)
     EXPECT_DOUBLE_EQ(traces[0].totalFlops(), 1.0);
 }
 
+TEST(Trace, ShrinkToFitKeepsTheOpsAndTheirDigests)
+{
+    Trace t(SystemShape{1, 2});
+    t.beginPhase("p");
+    for (std::uint32_t i = 0; i < 100; ++i)
+        t.pushGpe(i % 2, {0x40 + 8 * Addr{i}, 7, OpKind::Load});
+    const Trace before = t;
+    const auto digests = t.streamDigests();
+    t.shrinkToFit();
+    EXPECT_EQ(t.totalOps(), before.totalOps());
+    for (std::uint32_t g = 0; g < 2; ++g) {
+        const StreamView a = t.gpeStream(g);
+        const StreamView b = before.gpeStream(g);
+        ASSERT_EQ(a.size, b.size);
+        for (std::size_t i = 0; i < a.size; ++i) {
+            EXPECT_EQ(a.op(i).addr, b.op(i).addr);
+            EXPECT_EQ(a.op(i).kind, b.op(i).kind);
+        }
+    }
+    // The content did not change, so the memoized digests still hold.
+    EXPECT_EQ(t.streamDigests(), digests);
+}
+
 TEST(TraceText, RejectsShapeThatWrapsWhenMultiplied)
 {
     // 2^63 * 2 wraps to 0 in u64; each dimension is bounded before
