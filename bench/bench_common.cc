@@ -377,18 +377,6 @@ BenchReport::noteSweep(double wall_seconds, std::uint64_t configs)
 }
 
 void
-BenchReport::noteTraceDecode(double wall_seconds)
-{
-    traceDecodeSecondsV += wall_seconds;
-}
-
-void
-BenchReport::setTraceFormat(std::string format)
-{
-    traceFormatV = std::move(format);
-}
-
-void
 BenchReport::noteServe(std::uint64_t sessions, double serve_scale,
                        double sessions_per_second, double p50_ms,
                        double p99_ms, double epochs_per_second)
@@ -431,10 +419,6 @@ BenchReport::write() const
     out << "  \"jobs\": " << benchJobs() << ",\n";
     out << "  \"sweep_wall_seconds\": " << sweepSecondsV << ",\n";
     out << "  \"configs_simulated\": " << configsSimulatedV << ",\n";
-    out << "  \"trace_format\": \"" << jsonEscape(traceFormatV)
-        << "\",\n";
-    out << "  \"trace_decode_seconds\": " << traceDecodeSecondsV
-        << ",\n";
     out << "  \"serve_sessions\": " << serveSessionsV << ",\n";
     out << "  \"serve_scale\": " << serveScaleV << ",\n";
     out << "  \"sessions_per_second\": " << sessionsPerSecondV

@@ -158,15 +158,6 @@ class BenchReport
     void noteSweep(double wall_seconds, std::uint64_t configs);
 
     /**
-     * Account host seconds spent decoding a serialized trace into a
-     * replay-ready Trace (text parse, or columnar file read and
-     * decode). Accumulated into "trace_decode_seconds", reported
-     * separately from sweep_wall_seconds so decode cost never
-     * pollutes the replay trend gate.
-     */
-    void noteTraceDecode(double wall_seconds);
-
-    /**
      * Account one control-server traffic replay (bench/serve_traffic):
      * script size, pinned serve dataset scale, and the run's
      * throughput/latency figures. Reported as "serve_sessions",
@@ -178,14 +169,6 @@ class BenchReport
     void noteServe(std::uint64_t sessions, double serve_scale,
                    double sessions_per_second, double p50_ms,
                    double p99_ms, double epochs_per_second);
-
-    /**
-     * The trace format the bench replayed from, reported as
-     * "trace_format". Defaults to "columnar" (every replay reads the
-     * trace's columns); tools/bench_trend refuses to compare
-     * runs recorded under different formats.
-     */
-    void setTraceFormat(std::string format);
 
     /** Write bench_results/BENCH_<name>.json. */
     void write() const;
@@ -204,8 +187,6 @@ class BenchReport
     std::chrono::steady_clock::time_point startV;
     double sweepSecondsV = 0.0;
     std::uint64_t configsSimulatedV = 0;
-    double traceDecodeSecondsV = 0.0;
-    std::string traceFormatV = "columnar";
     std::uint64_t serveSessionsV = 0;
     double serveScaleV = 0.0;
     double sessionsPerSecondV = 0.0;

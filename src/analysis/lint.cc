@@ -26,8 +26,6 @@ statusRegistry()
         "tryReadMatrixMarketFile",
         "readTraceText",
         "readTraceTextFile",
-        "readTraceColumnarFile",
-        "writeTraceColumnarFile",
         "tryPushGpe",
         "tryPushLcp",
         "loadBaseline",
@@ -171,9 +169,9 @@ lintSource(const std::string &source, const std::string &rel_path)
         }
 
         // lint-trace-raw-mmap: memory mapping and raw-descriptor
-        // I/O anywhere. Trace files are read into buffers and decoded
-        // into owned columns, so no bytes outlive their reader and a
-        // TraceView only ever points into a Trace.
+        // I/O anywhere. Files are read through streams into owned
+        // memory, so a TraceView only ever points into a Trace and no
+        // view outlives the bytes it reads.
         if (t.kind == Token::Kind::Ident &&
             (t.text == "mmap" || t.text == "munmap" ||
              t.text == "madvise" || t.text == "mremap" ||

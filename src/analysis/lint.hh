@@ -32,9 +32,9 @@
  *    (jobs=N threads), so the library owns no child process; a stray
  *    fork duplicates open record-log buffers and threads mid-flight.
  *  - lint-trace-raw-mmap: no mmap/munmap/madvise/mremap/pread/pwrite
- *    anywhere — trace files are read into buffers and decoded into
- *    the trace's own columns, so every TraceView points into a Trace
- *    and no mapped bytes with a lifetime of their own exist.
+ *    anywhere — files are read through streams into owned memory, so
+ *    every TraceView points into a Trace and no mapped bytes with a
+ *    lifetime of their own exist.
  *
  * Findings are keyed by file:line relative to the lint root, so the
  * baseline file stays stable across checkouts.

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "sim/trace_columnar.hh"
 #include "sim/transmuter.hh"
 
 namespace sadapt::analysis {
@@ -135,20 +134,6 @@ checkTrace(const TraceText &tt, const std::string &name)
 Report
 checkTraceFile(const std::string &path)
 {
-    if (traceFileIsColumnar(path)) {
-        // The columnar loader is the framing validator: header magic
-        // and version, every section CRC, canonical section order,
-        // column-length agreement, op-kind validity and torn tails
-        // all surface here as recoverable errors.
-        auto loaded = readTraceColumnarFile(path);
-        if (!loaded) {
-            Report report;
-            report.add("trace-columnar-framing", path, 0,
-                       Severity::Error, loaded.message());
-            return report;
-        }
-        return checkTrace(loaded.value(), path);
-    }
     auto parsed = readTraceTextFile(path);
     if (!parsed) {
         Report report;

@@ -13,12 +13,6 @@
  *    replay engine deadlocks or misbarriers otherwise)
  *  - the declared epoch count consistent with the trace's FP-op
  *    total and the declared FP-op epoch length (Section 4 epochs)
- *
- * Both trace formats are accepted: the format is sniffed from the
- * file magic. Columnar files get their framing validated first
- * (magic, version, per-section CRCs, torn tails, column-length
- * agreement — everything the columnar loader enforces), then the same
- * semantic checks as text run over the decoded streams.
  */
 
 #ifndef SADAPT_ANALYSIS_TRACE_CHECK_HH

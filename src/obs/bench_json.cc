@@ -328,9 +328,6 @@ parseBenchJson(std::string_view text)
     run.scale = numberOr(root, "scale", 0.0);
     run.samples = countOr(root, "samples", 0);
     run.jobs = countOr(root, "jobs", 0);
-    run.traceFormat = stringOr(root, "trace_format", "columnar");
-    run.traceDecodeSeconds =
-        numberOr(root, "trace_decode_seconds", 0.0);
     run.serveSessions = countOr(root, "serve_sessions", 0);
     run.serveScale = numberOr(root, "serve_scale", 0.0);
     run.sessionsPerSecond =
@@ -418,8 +415,7 @@ bool
 benchComparable(const BenchRun &a, const BenchRun &b)
 {
     return a.bench == b.bench && a.scale == b.scale &&
-           a.samples == b.samples && a.traceFormat == b.traceFormat &&
-           a.serveSessions == b.serveSessions &&
+           a.samples == b.samples && a.serveSessions == b.serveSessions &&
            a.serveScale == b.serveScale;
 }
 

@@ -50,15 +50,6 @@ struct BenchRun
     std::uint64_t jobs = 0;
 
     /**
-     * Trace pipeline provenance: the format replayed from and the
-     * host seconds spent decoding it to the replay-ready form.
-     * Reports predating the knob read as "columnar" — the layout
-     * every replay has read since the column engine landed.
-     */
-    std::string traceFormat = "columnar";
-    double traceDecodeSeconds = 0.0;
-
-    /**
      * Serve provenance (bench/serve_traffic only, zero elsewhere):
      * the traffic-script size and pinned serve dataset scale the run
      * replayed, and its throughput/latency figures. Like the scale
@@ -107,11 +98,10 @@ std::size_t bestRunIndex(const std::vector<BenchRun> &runs);
 
 /**
  * Whether two runs measure the same thing: same bench name, same
- * scale knobs (scale and sample count), same trace format and — for
- * serve benches — the same traffic-script size and serve scale.
- * Comparing wall seconds across different scales — or across trace
- * pipelines with different decode cost profiles — is meaningless, so
- * bench_trend only trends and gates comparable runs.
+ * scale knobs (scale and sample count) and — for serve benches — the
+ * same traffic-script size and serve scale. Comparing wall seconds
+ * across different scales is meaningless, so bench_trend only trends
+ * and gates comparable runs.
  */
 bool benchComparable(const BenchRun &a, const BenchRun &b);
 

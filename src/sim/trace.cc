@@ -1,10 +1,12 @@
 #include "sim/trace.hh"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -237,6 +239,35 @@ traceError(std::uint64_t line, const std::string &what)
     return Status::error(str("trace line ", line, ": ", what));
 }
 
+constexpr std::string_view blanks = " \t\r\n\v\f";
+
+/** Split a line into its blank-separated words. */
+std::vector<std::string_view>
+splitWords(std::string_view line)
+{
+    std::vector<std::string_view> words;
+    std::size_t begin = line.find_first_not_of(blanks);
+    while (begin != std::string_view::npos) {
+        const std::size_t end =
+            std::min(line.find_first_of(blanks, begin), line.size());
+        words.push_back(line.substr(begin, end - begin));
+        begin = line.find_first_not_of(blanks, end);
+    }
+    return words;
+}
+
+/**
+ * One unsigned decimal field: digits only, so a sign, a base prefix,
+ * trailing junk or a value past u64 is a parse error, not a wrap.
+ */
+bool
+parseU64(std::string_view word, std::uint64_t &v)
+{
+    const char *end = word.data() + word.size();
+    const auto [ptr, ec] = std::from_chars(word.data(), end, v);
+    return !word.empty() && ec == std::errc() && ptr == end;
+}
+
 } // namespace
 
 Result<TraceText>
@@ -247,7 +278,7 @@ readTraceText(std::istream &in)
     auto next_line = [&]() -> bool {
         while (std::getline(in, line)) {
             ++lineno;
-            const auto pos = line.find_first_not_of(" \t\r");
+            const auto pos = line.find_first_not_of(blanks);
             if (pos == std::string::npos || line[pos] == '#')
                 continue; // blank or comment
             return true;
@@ -269,10 +300,11 @@ readTraceText(std::istream &in)
     std::vector<bool> gpe_seen, lcp_seen;
 
     while (next_line()) {
-        std::istringstream ls(line);
-        std::string word;
-        ls >> word;
+        const std::vector<std::string_view> w = splitWords(line);
+        const std::string_view word = w[0];
         if (word == "end") {
+            if (w.size() != 1)
+                return traceError(lineno, "malformed end");
             saw_end = true;
             break;
         }
@@ -280,7 +312,8 @@ readTraceText(std::istream &in)
             if (have_shape)
                 return traceError(lineno, "duplicate shape directive");
             std::uint64_t tiles = 0, gpes = 0;
-            if (!(ls >> tiles >> gpes) || tiles == 0 || gpes == 0)
+            if (w.size() != 3 || !parseU64(w[1], tiles) ||
+                !parseU64(w[2], gpes) || tiles == 0 || gpes == 0)
                 return traceError(lineno, "malformed shape");
             // Bound each dimension before multiplying: a u64 product
             // of two huge dimensions can wrap to a small value.
@@ -300,8 +333,8 @@ readTraceText(std::istream &in)
         if (word == "footprint" || word == "epoch_fpops" ||
             word == "epochs") {
             std::uint64_t v = 0;
-            if (!(ls >> v))
-                return traceError(lineno, "malformed " + word);
+            if (w.size() != 2 || !parseU64(w[1], v))
+                return traceError(lineno, str("malformed ", word));
             if (word == "footprint")
                 out.footprint = v;
             else if (word == "epoch_fpops")
@@ -311,27 +344,27 @@ readTraceText(std::istream &in)
             continue;
         }
         if (word == "phase") {
+            // The name is the rest of the line, spaces included.
             std::uint64_t id = 0;
-            std::string name;
-            if (!(ls >> id >> std::ws) || !std::getline(ls, name) ||
-                name.empty())
+            if (w.size() < 3 || !parseU64(w[1], id))
                 return traceError(lineno, "malformed phase");
             if (id != num_phases)
                 return traceError(
                     lineno, str("phase id ", id, " out of order "
                                 "(expected ", num_phases, ")"));
             ++num_phases;
-            phase_names.push_back(std::move(name));
+            phase_names.emplace_back(
+                line, static_cast<std::size_t>(w[2].data() - line.data()));
             continue;
         }
         if (word == "stream") {
             if (!have_shape)
                 return traceError(lineno, "stream before shape");
-            std::string core;
             std::uint64_t id = 0, nops = 0;
-            if (!(ls >> core >> id >> nops) ||
-                (core != "gpe" && core != "lcp"))
+            if (w.size() != 4 || (w[1] != "gpe" && w[1] != "lcp") ||
+                !parseU64(w[2], id) || !parseU64(w[3], nops))
                 return traceError(lineno, "malformed stream header");
+            const std::string core(w[1]);
             const bool is_gpe = core == "gpe";
             const std::uint64_t limit =
                 is_gpe ? shape.numGpes() : shape.tiles;
@@ -345,28 +378,29 @@ readTraceText(std::istream &in)
                     lineno, str("duplicate ", core, " stream ", id));
             seen[id] = true;
 
-            std::int64_t last_t = -1;
+            std::uint64_t last_t = 0;
             for (std::uint64_t i = 0; i < nops; ++i) {
                 if (!next_line())
                     return traceError(
                         lineno, str("truncated ", core, " stream ",
                                     id, ": ", i, " of ", nops,
                                     " ops"));
-                std::istringstream os(line);
-                std::int64_t t = 0;
-                std::string kind;
-                std::uint64_t addr = 0, pc = 0;
-                if (!(os >> t >> kind >> addr >> pc))
+                const std::vector<std::string_view> ow =
+                    splitWords(line);
+                std::uint64_t t = 0, addr = 0, pc = 0;
+                if (ow.size() != 4 || !parseU64(ow[0], t) ||
+                    !parseU64(ow[2], addr) || !parseU64(ow[3], pc))
                     return traceError(lineno, "malformed op record");
                 if (pc > 0xffff)
                     return traceError(
                         lineno, str("pc ", pc, " exceeds the 16-bit "
                                     "access-site id space"));
-                if (t <= last_t)
+                if (i > 0 && t <= last_t)
                     return traceError(
                         lineno, str("non-monotone timestamp ", t,
                                     " (previous ", last_t, ")"));
                 last_t = t;
+                const std::string kind(ow[1]);
                 const auto k = opKindFromName(kind);
                 if (!k)
                     return traceError(lineno,
@@ -387,13 +421,16 @@ readTraceText(std::istream &in)
             }
             continue;
         }
-        return traceError(lineno, "unknown directive '" + word + "'");
+        return traceError(lineno,
+                          str("unknown directive '", word, "'"));
     }
 
     if (!have_shape)
         return Status::error("trace: missing shape directive");
     if (!saw_end)
         return Status::error("trace: missing 'end' terminator");
+    if (next_line())
+        return traceError(lineno, "content after 'end'");
     // Register the declared phases so phaseNames() lines up. The
     // phase markers themselves were replayed verbatim above.
     for (auto &name : phase_names)

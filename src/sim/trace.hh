@@ -11,7 +11,7 @@
  *
  * A trace has one in-memory form: per-stream columns (op kind, byte
  * address, access-site pc) that kernels append to and the replay
- * engine, the store fingerprint and both file writers read through a
+ * engine, the store fingerprint and the text writer read through a
  * non-owning TraceView.
  */
 
@@ -114,8 +114,8 @@ struct SystemShape
 };
 
 /**
- * Sanity cap on deserialized system shapes (shared by the text parser
- * and the columnar loader): tiles * gpesPerTile may not exceed this.
+ * Sanity cap on system shapes read from a trace file: tiles *
+ * gpesPerTile may not exceed this.
  */
 inline constexpr std::uint64_t maxTraceGpes = 4096;
 
@@ -353,7 +353,7 @@ std::string opKindName(OpKind k);
 std::optional<OpKind> opKindFromName(const std::string &name);
 
 /**
- * A trace plus the file-level metadata both file formats carry:
+ * A trace plus the file-level metadata its text file carries:
  * the device address-space footprint the emitting kernel allocated,
  * the FP-op epoch length the run was scheduled with, and the epoch
  * count the producer claims the trace covers (0 when unstated).
@@ -380,11 +380,15 @@ struct TraceText
  *   end
  *
  * Kinds are int|fp|ld|st|fpld|fpst|spmld|spmst|phase. Timestamps are
- * issue cycles and must be strictly increasing within a stream.
- * Malformed headers, unknown directives or kinds, out-of-range GPE or
- * tile ids, duplicate streams, non-monotone timestamps, phase ops
- * referencing undeclared phase ids, and truncated files are all
- * recoverable errors — never asserts.
+ * issue cycles and must be strictly increasing within a stream. Every
+ * number is an unsigned decimal, and every line but a phase line (whose
+ * name is the rest of the line) has exactly the fields shown. Only
+ * blank and '#' comment lines may follow `end`.
+ * Malformed headers, unknown directives or kinds, signed or
+ * out-of-range numbers, extra fields, out-of-range GPE or tile ids,
+ * duplicate streams, non-monotone timestamps, phase ops referencing
+ * undeclared phase ids, content after `end` and truncated files are
+ * all recoverable errors — never asserts.
  */
 Result<TraceText> readTraceText(std::istream &in);
 

@@ -200,28 +200,20 @@ TEST(Lint, ProcessControlExclusions)
     EXPECT_FALSE(hasCheck(r, "lint-process-control"));
 }
 
-TEST(Lint, TraceMmapFlaggedOutsideColumnarLoader)
+TEST(Lint, TraceMmapFlaggedAnywhere)
 {
-    const Report r = lintSource(
-        "void *p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n"
-        "munmap(p, n);\n"
-        "madvise(p, n, MADV_SEQUENTIAL);\n"
-        "pread(fd, buf, n, 0);\n",
-        "src/sparse/io.cc");
-    EXPECT_EQ(r.errorCount(), 4u);
-    EXPECT_TRUE(hasCheck(r, "lint-trace-raw-mmap"));
-}
-
-TEST(Lint, TraceMmapFlaggedInColumnarLoader)
-{
-    // The columnar loader reads files into buffers, so it has no
-    // exemption any more: no TU maps files.
-    const Report r = lintSource(
-        "void *p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n"
-        "munmap(p, n);\n",
-        "src/sim/trace_columnar.cc");
-    EXPECT_EQ(r.errorCount(), 2u);
-    EXPECT_TRUE(hasCheck(r, "lint-trace-raw-mmap"));
+    // No TU maps files or does raw-descriptor I/O, the trace reader
+    // included, so every directory gets the finding.
+    for (const char *path : {"src/sparse/io.cc", "src/sim/trace.cc"}) {
+        const Report r = lintSource(
+            "void *p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n"
+            "munmap(p, n);\n"
+            "madvise(p, n, MADV_SEQUENTIAL);\n"
+            "pread(fd, buf, n, 0);\n",
+            path);
+        EXPECT_EQ(r.errorCount(), 4u) << path;
+        EXPECT_TRUE(hasCheck(r, "lint-trace-raw-mmap")) << path;
+    }
 }
 
 TEST(Lint, TraceMmapExclusions)

@@ -11,6 +11,7 @@
 
 #include "analysis/trace_check.hh"
 #include "common/logging.hh"
+#include "extreme_trace.hh"
 #include "sim/trace.hh"
 #include "sim/transmuter.hh"
 
@@ -97,33 +98,56 @@ TEST(TraceText, GoodTextParses)
 
 TEST(TraceText, WriteReadRoundTrip)
 {
-    Trace trace(SystemShape{1, 2});
-    trace.beginPhase("setup");
-    trace.pushGpe(0, {0x10, 1, OpKind::Load});
-    trace.pushGpe(0, {0x18, 2, OpKind::FpLoad});
-    trace.pushGpe(1, {0x20, 3, OpKind::FpOp});
-    trace.beginPhase("compute");
-    trace.pushGpe(1, {0x28, 4, OpKind::SpmStore});
-    trace.pushLcp(0, {0, 0, OpKind::IntOp});
+    Trace small(SystemShape{1, 2});
+    small.beginPhase("setup");
+    small.pushGpe(0, {0x10, 1, OpKind::Load});
+    small.pushGpe(0, {0x18, 2, OpKind::FpLoad});
+    small.pushGpe(1, {0x20, 3, OpKind::FpOp});
+    small.beginPhase("compute");
+    small.pushGpe(1, {0x28, 4, OpKind::SpmStore});
+    small.pushLcp(0, {0, 0, OpKind::IntOp});
 
-    std::stringstream buf;
-    writeTraceText(trace, buf, /*footprint=*/64, /*epoch_fpops=*/1,
-                   /*declared_epochs=*/1);
-    const auto r = readTraceText(buf);
-    ASSERT_TRUE(r.isOk()) << r.message();
-    const Trace &back = r.value().trace;
-    EXPECT_EQ(back.shape(), trace.shape());
-    EXPECT_EQ(back.totalOps(), trace.totalOps());
-    EXPECT_EQ(back.totalFlops(), trace.totalFlops());
-    EXPECT_EQ(back.phaseNames(), trace.phaseNames());
-    for (std::uint32_t g = 0; g < 2; ++g) {
-        const StreamView a = trace.gpeStream(g);
-        const StreamView b = back.gpeStream(g);
-        ASSERT_EQ(a.size, b.size);
-        for (std::size_t i = 0; i < a.size; ++i) {
-            EXPECT_EQ(a.addr[i], b.addr[i]);
-            EXPECT_EQ(a.pc[i], b.pc[i]);
-            EXPECT_EQ(a.kind[i], b.kind[i]);
+    // The small trace, one at the edges of the op model (u64-max
+    // addresses, pc 0xffff, every op kind, an empty stream) and an
+    // empty one, each with and without file metadata.
+    const struct
+    {
+        const char *name;
+        Trace trace;
+        std::uint64_t footprint, epochFpOps, epochs;
+    } cases[] = {
+        {"small", small, 64, 1, 1},
+        {"extreme", test::extremeTrace(), 1 << 20, 500, 3},
+        {"extreme-bare", test::extremeTrace(), 0, 0, 0},
+        {"empty", Trace(SystemShape{1, 1}), 0, 0, 0},
+        {"empty-meta", Trace(SystemShape{1, 1}), 8, 2, 1},
+    };
+    for (const auto &c : cases) {
+        const Trace &trace = c.trace;
+        std::stringstream buf;
+        writeTraceText(trace, buf, c.footprint, c.epochFpOps, c.epochs);
+        const auto r = readTraceText(buf);
+        ASSERT_TRUE(r.isOk()) << c.name << ": " << r.message();
+        const TraceText &tt = r.value();
+        EXPECT_EQ(tt.footprint, c.footprint) << c.name;
+        EXPECT_EQ(tt.epochFpOps, c.epochFpOps) << c.name;
+        EXPECT_EQ(tt.declaredEpochs, c.epochs) << c.name;
+        const Trace &back = tt.trace;
+        ASSERT_EQ(back.shape(), trace.shape()) << c.name;
+        EXPECT_EQ(back.totalOps(), trace.totalOps()) << c.name;
+        EXPECT_EQ(back.totalFlops(), trace.totalFlops()) << c.name;
+        EXPECT_EQ(back.phaseNames(), trace.phaseNames()) << c.name;
+        const TraceView va = trace.view();
+        const TraceView vb = back.view();
+        for (std::size_t s = 0; s < va.streams.size(); ++s) {
+            const StreamView &a = va.streams[s];
+            const StreamView &b = vb.streams[s];
+            ASSERT_EQ(a.size, b.size) << c.name << " stream " << s;
+            for (std::size_t i = 0; i < a.size; ++i) {
+                EXPECT_EQ(a.addr[i], b.addr[i]) << c.name;
+                EXPECT_EQ(a.pc[i], b.pc[i]) << c.name;
+                EXPECT_EQ(a.kind[i], b.kind[i]) << c.name;
+            }
         }
     }
 }
@@ -170,6 +194,14 @@ TEST(TraceText, RejectsBadMagicUnknownKindAndTruncation)
                        "0 int 0 0\n"
                        "end\n")
                      .isOk());
+    // Declares 2^61 ops, provides 1: an error, never a reservation
+    // sized from the header.
+    EXPECT_FALSE(parse("sadapt-trace v1\n"
+                       "shape 1 1\n"
+                       "stream gpe 0 2305843009213693952\n"
+                       "0 int 0 0\n"
+                       "end\n")
+                     .isOk());
     // Missing trailing "end".
     EXPECT_FALSE(parse("sadapt-trace v1\n"
                        "shape 1 1\n"
@@ -188,6 +220,66 @@ TEST(TraceText, RejectsDuplicateStream)
                          "0 int 0 0\n"
                          "end\n");
     ASSERT_FALSE(r.isOk());
+}
+
+TEST(TraceText, RejectsSignsExtraFieldsAndContentAfterEnd)
+{
+    // Each case is a one-line edit of an otherwise valid trace. A
+    // number is unsigned decimal digits only, a line has exactly its
+    // fields (a phase name keeps the rest of its line), and only
+    // blanks and comments may follow "end".
+    const auto trace = [](const std::string &header,
+                          const std::string &op,
+                          const std::string &tail) {
+        return "sadapt-trace v1\nshape 1 1\n" + header +
+            "phase 0 main loop\nstream gpe 0 2\n0 phase 0 0\n" + op +
+            "\nend\n" + tail;
+    };
+    const struct
+    {
+        const char *name;
+        std::string text;
+    } bad[] = {
+        {"negative address", trace("", "1 ld -5 3", "")},
+        {"plus-signed address", trace("", "1 ld +5 3", "")},
+        {"negative pc", trace("", "1 ld 5 -3", "")},
+        {"negative timestamp", trace("", "-1 ld 5 3", "")},
+        {"address past u64",
+         trace("", "1 ld 18446744073709551616 3", "")},
+        {"hex address", trace("", "1 ld 0x10 3", "")},
+        {"junk glued to a field", trace("", "1 ld 5 3x", "")},
+        {"extra op field", trace("", "1 ld 5 3 7", "")},
+        {"missing op field", trace("", "1 ld 5", "")},
+        {"negative footprint", trace("footprint -1\n", "1 ld 5 3", "")},
+        {"negative epochs", trace("epochs -2\n", "1 ld 5 3", "")},
+        {"extra epoch_fpops field",
+         trace("epoch_fpops 2 2\n", "1 ld 5 3", "")},
+        {"negative shape",
+         "sadapt-trace v1\nshape -1 1\nend\n"},
+        {"extra shape field",
+         "sadapt-trace v1\nshape 1 1 1\nend\n"},
+        {"negative stream count",
+         "sadapt-trace v1\nshape 1 1\nstream gpe 0 -1\nend\n"},
+        {"extra stream field",
+         "sadapt-trace v1\nshape 1 1\nstream gpe 0 0 0\nend\n"},
+        {"negative phase id",
+         "sadapt-trace v1\nshape 1 1\nphase -0 main\nend\n"},
+        {"extra end field", "sadapt-trace v1\nshape 1 1\nend now\n"},
+        {"directive after end", trace("", "1 ld 5 3", "epochs 1\n")},
+        {"op after end", trace("", "1 ld 5 3", "2 ld 5 3\n")},
+    };
+    for (const auto &c : bad)
+        EXPECT_FALSE(parse(c.text).isOk()) << c.name;
+
+    // The same template with nothing wrong parses, comments and
+    // blanks after "end" included, and keeps the whole phase name.
+    const auto ok = parse(
+        trace("footprint 64\n", "1 ld 5 3", "\n# trailing note\n  \n"));
+    ASSERT_TRUE(ok.isOk()) << ok.message();
+    EXPECT_EQ(ok.value().footprint, 64u);
+    EXPECT_EQ(ok.value().trace.phaseNames(),
+              std::vector<std::string>{"main loop"});
+    EXPECT_EQ(ok.value().trace.gpeStream(0).op(1).addr, 5u);
 }
 
 TEST(TraceCheck, FlagsAddressesOutsideFootprint)
@@ -282,58 +374,6 @@ TEST(TraceCheck, FileEntryPointReportsParseErrors)
     const Report rep = checkTraceFile("/nonexistent/trace.txt");
     EXPECT_FALSE(rep.clean());
     EXPECT_TRUE(hasCheck(rep, "trace-parse"));
-}
-
-namespace {
-
-std::string
-fixture(const std::string &name)
-{
-    return std::string(SADAPT_TEST_DATA_DIR) + "/analysis/" + name;
-}
-
-} // namespace
-
-TEST(TraceCheck, ColumnarGoodFixtureIsClean)
-{
-    // good.ctrace is good.trace converted by sadapt_tracec: same
-    // semantic content, sniffed and validated via the columnar path.
-    const Report rep = checkTraceFile(fixture("good.ctrace"));
-    EXPECT_TRUE(rep.clean()) << rep.findings().size();
-}
-
-TEST(TraceCheck, ColumnarSeededCorruptionsAreFlagged)
-{
-    // Each fixture is good.ctrace with one seeded defect. A flipped
-    // file magic stops the file sniffing as columnar at all, so it
-    // falls back to (and fails) the text parser; the rest fail the
-    // columnar framing validation with their specific defect.
-    {
-        const Report rep = checkTraceFile(fixture("bad_magic.ctrace"));
-        EXPECT_FALSE(rep.clean());
-        EXPECT_TRUE(hasCheck(rep, "trace-parse"));
-    }
-    const struct
-    {
-        const char *file;
-        const char *needle;
-    } cases[] = {
-        {"bad_version.ctrace", "unsupported version"},
-        {"bad_crc.ctrace", "CRC mismatch"},
-        {"torn_tail.ctrace", "torn tail"},
-        {"bad_columns.ctrace", "column length disagreement"},
-    };
-    for (const auto &c : cases) {
-        const Report rep = checkTraceFile(fixture(c.file));
-        ASSERT_FALSE(rep.clean()) << c.file;
-        ASSERT_TRUE(hasCheck(rep, "trace-columnar-framing")) << c.file;
-        bool found = false;
-        for (const auto &f : rep.findings())
-            if (f.message.find(c.needle) != std::string::npos)
-                found = true;
-        EXPECT_TRUE(found) << c.file << ": expected '" << c.needle
-                           << "' in findings";
-    }
 }
 
 TEST(Trace, TryPushRejectsOutOfRangeIds)

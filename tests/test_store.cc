@@ -841,7 +841,7 @@ TEST(EpochDbStore, ResultConsultsStoreOnCacheMiss)
  * A database served from the store converts its trace only when it
  * first replays. Here that first replay is a parallel ensure(): the
  * candidates are all store hits, and the next batch carries three
- * misses, so the columnar view is built just before the workers
+ * misses, so the column view is built just before the workers
  * start. Results and compacted store bytes must match serial runs.
  */
 TEST(EpochDbStore, FirstConversionInParallelEnsureMatchesSerial)

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "extreme_trace.hh"
 #include "sim/trace.hh"
 
 using namespace sadapt;
@@ -129,6 +132,51 @@ TEST(Trace, ShrinkToFitKeepsTheOpsAndTheirDigests)
     }
     // The content did not change, so the memoized digests still hold.
     EXPECT_EQ(t.streamDigests(), digests);
+}
+
+TEST(Trace, ViewMatchesSourceStreams)
+{
+    // The ops extremeTrace() pushes to GPE 0, in order, between the
+    // "stress" and "tail" phase markers.
+    constexpr Addr kMax = std::numeric_limits<Addr>::max();
+    const std::vector<TraceOp> gpe0 = {
+        {0, 0, OpKind::Phase},
+        {0, 0, OpKind::Load},
+        {kMax, 0xffff, OpKind::Store},
+        {1, 1, OpKind::FpLoad},
+        {kMax / 2, 7, OpKind::FpStore},
+        {kMax / 2 + 1, 7, OpKind::FpOp},
+        {1, 0, OpKind::Phase},
+    };
+    const Trace t = test::extremeTrace();
+    const TraceView view = t.view();
+    EXPECT_EQ(view.shape, t.shape());
+    ASSERT_EQ(view.streams.size(),
+              t.shape().numGpes() + t.shape().tiles);
+    EXPECT_EQ(view.totalOps, 22u); // 10 pushed + 2 markers per core
+    EXPECT_EQ(view.totalOps, t.totalOps());
+    EXPECT_EQ(view.totalFpOps, 3u);
+    EXPECT_EQ(static_cast<double>(view.totalFpOps), t.totalFlops());
+    EXPECT_EQ(std::vector<std::string>(view.phases.begin(),
+                                       view.phases.end()),
+              t.phaseNames());
+
+    const StreamView &s = view.gpeStream(0);
+    ASSERT_EQ(s.size, gpe0.size());
+    for (std::size_t i = 0; i < s.size; ++i) {
+        EXPECT_EQ(s.addr[i], gpe0[i].addr) << "op " << i;
+        EXPECT_EQ(s.pc[i], gpe0[i].pc) << "op " << i;
+        EXPECT_EQ(static_cast<OpKind>(s.kind[i]), gpe0[i].kind)
+            << "op " << i;
+    }
+    EXPECT_EQ(view.gpeStream(3).size, 2u); // the two phase markers
+    const StreamView &lcp = view.lcpStream(0);
+    ASSERT_EQ(lcp.size, 3u);
+    EXPECT_EQ(lcp.op(2).addr, kMax - 1);
+    EXPECT_EQ(lcp.op(2).pc, 0xfffe);
+    EXPECT_EQ(lcp.op(2).kind, OpKind::Load);
+    // The accessors and the view read the same columns.
+    EXPECT_EQ(t.lcpStream(0).addr, lcp.addr);
 }
 
 TEST(TraceText, RejectsShapeThatWrapsWhenMultiplied)

@@ -1,26 +1,21 @@
 /**
  * @file
- * Golden format pins for the trace container and its two file
- * formats. One fixed trace (every op kind, SPM ops, phases, extreme
- * addresses and pc ids) is pinned by three 64-bit values: its store
- * fingerprint, an FNV-1a digest of its text-format bytes and one of
- * its columnar-format bytes. A fourth pin covers the committed
- * good.ctrace fixture: it must still load to the same content. A
- * change to the in-memory trace layout must leave all four unchanged;
- * a mismatch prints the computed value.
+ * Golden format pins for the trace container and its text file
+ * format. One fixed trace (every op kind, SPM ops, phases, extreme
+ * addresses and pc ids) is pinned by two 64-bit values: its store
+ * fingerprint and an FNV-1a digest of its text-format bytes. A change
+ * to the in-memory trace layout must leave both unchanged; a mismatch
+ * prints the computed value.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 
-#include "sim/trace_columnar.hh"
+#include "sim/trace.hh"
 #include "store/fingerprint.hh"
 
 using namespace sadapt;
@@ -32,13 +27,6 @@ std::uint64_t
 digest(const std::string &bytes)
 {
     return store::Fnv1a().bytes(bytes.data(), bytes.size()).value();
-}
-
-std::string
-readBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 /**
@@ -105,36 +93,5 @@ TEST(GoldenFormat, TextBytesArePinned)
                    /*epoch_fpops=*/2, /*declared_epochs=*/3);
     const std::uint64_t d = digest(out.str());
     EXPECT_EQ(d, 0xecf3a9cdfc506464ull)
-        << std::hex << "computed 0x" << d;
-}
-
-TEST(GoldenFormat, ColumnarBytesArePinned)
-{
-    const std::string path =
-        ::testing::TempDir() + "golden_format.ctrace";
-    ASSERT_TRUE(writeTraceColumnarFile(goldenTrace(), path,
-                                       /*footprint=*/1 << 20,
-                                       /*epoch_fpops=*/2,
-                                       /*declared_epochs=*/3)
-                    .isOk());
-    const std::uint64_t d = digest(readBytes(path));
-    std::filesystem::remove(path);
-    EXPECT_EQ(d, 0x43e00997485b4d20ull)
-        << std::hex << "computed 0x" << d;
-}
-
-TEST(GoldenFormat, CommittedColumnarFixtureLoadsUnchanged)
-{
-    // The loaded streams and metadata, rendered through the text
-    // writer, so the pin covers every op and every header field.
-    auto loaded = readTraceColumnarFile(
-        std::string(SADAPT_TEST_DATA_DIR) + "/analysis/good.ctrace");
-    ASSERT_TRUE(loaded.isOk()) << loaded.message();
-    const TraceText &tt = loaded.value();
-    std::ostringstream out;
-    writeTraceText(tt.trace, out, tt.footprint, tt.epochFpOps,
-                   tt.declaredEpochs);
-    const std::uint64_t d = digest(out.str());
-    EXPECT_EQ(d, 0xc040c5dd284c3189ull)
         << std::hex << "computed 0x" << d;
 }

@@ -37,8 +37,8 @@ echo "== ctest -L analysis|obs (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L 'analysis|obs' --output-on-failure \
     -j "$(nproc)"
 
-# Trace-reader gate: the trace container, both file formats, the
-# golden format pins and the malformed-input cases. A reader that
+# Trace-reader gate: the trace container, the text format's golden
+# pins and the malformed-input cases. A reader that
 # faults on a hostile file (an overflow, an oversized allocation, an
 # out-of-bounds read) fails here by test name under the sanitizers.
 echo "== ctest -L trace (ASan+UBSan)"
@@ -69,9 +69,10 @@ echo "== ctest -L serving"
 ctest --test-dir "$build_dir" -L serving --output-on-failure \
     -j "$(nproc)"
 
-# Trace-format + jobs=N determinism gate: text vs columnar replay must
-# be byte-identical (EpochDb, metrics, journal, store files) under the
-# sanitized build too; the same suite reruns under TSan below.
+# Trace-reload + jobs=N determinism gate: a text-reloaded workload
+# must replay byte-identically to the in-memory one (EpochDb, metrics,
+# journal, store files) under the sanitized build too; the same suite
+# reruns under TSan below.
 echo "== ctest -L threading (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L threading --output-on-failure \
     -j "$(nproc)"
