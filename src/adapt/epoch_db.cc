@@ -33,20 +33,38 @@ EpochDb::keyConfig(std::uint64_t key) const
         static_cast<std::uint32_t>(key));
 }
 
-const SimResult &
+std::size_t
+EpochDb::epochTotal()
+{
+    if (countV == 0)
+        countV = sim.epochCount(wl.trace, budgetV);
+    return countV;
+}
+
+EpochDb::Entry &
 EpochDb::commit(std::uint64_t key, SimResult res)
 {
-    if (!cache.empty()) {
-        SADAPT_ASSERT(res.epochs.size() ==
-                          cache.begin()->second.epochs.size(),
-                      "epoch boundaries must align across configs");
-    }
-    return cache.emplace(key, std::move(res)).first->second;
+    SADAPT_ASSERT(res.epochs.size() == epochTotal(),
+                  "epoch boundaries must align across configs");
+    Entry &en = cache[key];
+    en.result = std::move(res);
+    return en;
+}
+
+void
+EpochDb::attachMetrics(obs::MetricRegistry *metrics)
+{
+    SADAPT_ASSERT(metrics == nullptr || partialV == 0,
+                  "attach metrics before any partial read");
+    metricsV = metrics;
+    sim.setMetrics(metrics);
 }
 
 void
 EpochDb::attachStore(store::EpochStore *epoch_store)
 {
+    SADAPT_ASSERT(epoch_store == nullptr || partialV == 0,
+                  "attach a store before any partial read");
     storeV = epoch_store;
     fingerprintV = 0;
     if (epoch_store == nullptr)
@@ -61,17 +79,18 @@ EpochDb::attachStore(store::EpochStore *epoch_store)
                            .value();
 }
 
-const SimResult &
+EpochDb::Entry &
 EpochDb::simulateAndCommit(std::uint64_t key, const HwConfig &cfg)
 {
     SimResult res = sim.run(wl.trace, cfg, budgetV);
+    replayedV += res.epochs.size();
     if (storeV != nullptr)
         storeV->put(fingerprintV, cfg, res);
     return commit(key, std::move(res));
 }
 
-const SimResult &
-EpochDb::result(const HwConfig &cfg)
+EpochDb::Entry &
+EpochDb::entry(const HwConfig &cfg)
 {
     SADAPT_ASSERT(cfg.l1Type == wl.l1Type,
                   "config L1 memory type must match the workload");
@@ -84,24 +103,87 @@ EpochDb::result(const HwConfig &cfg)
                                                        cfg))
             return commit(k, std::move(*hit));
     }
-    return simulateAndCommit(k, cfg);
+    // The store and the metrics record whole replays, in first-touch
+    // order; only a database without them keeps a replay suspended.
+    if (storeV != nullptr || metricsV != nullptr)
+        return simulateAndCommit(k, cfg);
+    Entry &en = cache[k];
+    en.result.config = cfg;
+    en.result.epochs.reserve(epochTotal());
+    en.replay.emplace(sim, wl.trace, cfg);
+    ++partialV;
+    return en;
+}
+
+void
+EpochDb::advance(Entry &en, std::size_t want)
+{
+    while (en.result.epochs.size() < want) {
+        std::optional<EpochRecord> rec = en.replay->step();
+        SADAPT_ASSERT(rec.has_value(),
+                      "replay closed fewer epochs than epochCount()");
+        en.result.epochs.push_back(*rec);
+    }
+}
+
+void
+EpochDb::account(Entry &en, std::size_t before)
+{
+    replayedV += en.result.epochs.size() - before;
+    if (en.replay.has_value() &&
+        en.result.epochs.size() == epochTotal()) {
+        en.replay.reset();
+        --partialV;
+    }
+}
+
+void
+EpochDb::extend(Entry &en, std::size_t want)
+{
+    const std::size_t before = en.result.epochs.size();
+    advance(en, want);
+    account(en, before);
+}
+
+const SimResult &
+EpochDb::result(const HwConfig &cfg)
+{
+    Entry &en = entry(cfg);
+    if (en.replay.has_value())
+        extend(en, epochTotal());
+    return en.result;
+}
+
+const EpochRecord &
+EpochDb::epoch(const HwConfig &cfg, std::size_t e)
+{
+    Entry &en = entry(cfg);
+    if (e >= en.result.epochs.size()) {
+        SADAPT_ASSERT(e < epochTotal(),
+                      "epoch index past the epoch count");
+        extend(en, e + 1);
+    }
+    return en.result.epochs[e];
 }
 
 void
 EpochDb::ensure(std::span<const HwConfig> cfgs)
 {
-    // Collect the missing configurations, deduplicated, in request
-    // order: that order is the commit order below, so cache insertion
-    // order (and with it every downstream observation) matches what a
-    // serial result() loop over `cfgs` would produce. An attached
-    // store is consulted here, still in request order, so its
-    // hit/miss accounting and LRU state are jobs-independent; only
-    // true misses reach the parallel replay below.
+    // Collect the missing and partial configurations, deduplicated,
+    // in request order: that order is the commit order below, so
+    // cache insertion order (and with it every downstream
+    // observation) matches what a serial result() loop over `cfgs`
+    // would produce. An attached store is consulted here, still in
+    // request order, so its hit/miss accounting and LRU state are
+    // jobs-independent; only true misses and partial entries reach
+    // the parallel replay below.
     struct Pending
     {
         std::uint64_t key;
         HwConfig cfg;
         std::optional<SimResult> fromStore;
+        Entry *partial = nullptr; //!< a cached entry to complete
+        std::size_t before = 0;   //!< its records so far
     };
     std::vector<Pending> pending;
     std::unordered_set<std::uint64_t> queued;
@@ -110,7 +192,16 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
         SADAPT_ASSERT(cfg.l1Type == wl.l1Type,
                       "config L1 memory type must match the workload");
         const std::uint64_t k = key(cfg);
-        if (cache.contains(k) || !queued.insert(k).second)
+        if (auto it = cache.find(k); it != cache.end()) {
+            Entry &en = it->second;
+            if (en.replay.has_value() && queued.insert(k).second) {
+                ++toSimulate;
+                pending.push_back(Pending{k, cfg, std::nullopt, &en,
+                                          en.result.epochs.size()});
+            }
+            continue;
+        }
+        if (!queued.insert(k).second)
             continue;
         std::optional<SimResult> hit;
         if (storeV != nullptr)
@@ -119,11 +210,14 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
             ++toSimulate;
         pending.push_back(Pending{k, cfg, std::move(hit)});
     }
+    const std::size_t total = epochTotal();
     if (jobsV <= 1 || toSimulate <= 1) {
         // Exact serial path: same simulator, same order a result()
         // loop would use (its store lookups are resolved above).
         for (Pending &p : pending) {
-            if (p.fromStore.has_value())
+            if (p.partial != nullptr)
+                extend(*p.partial, total);
+            else if (p.fromStore.has_value())
                 commit(p.key, std::move(*p.fromStore));
             else
                 simulateAndCommit(p.key, p.cfg);
@@ -131,10 +225,11 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
         return;
     }
 
-    // Replay the true misses concurrently: tasks share only the
-    // immutable trace; each gets its own Transmuter and (when metrics
-    // are attached) its own registry shard. Nothing shared is written
-    // until the barrier.
+    // Replay the true misses and finish the partial entries
+    // concurrently: tasks share only the immutable trace; each fresh
+    // replay gets its own Transmuter and (when metrics are attached)
+    // its own registry shard, and each partial entry is touched by
+    // its task alone. Nothing shared is written until the barrier.
     std::vector<std::size_t> missing;
     missing.reserve(toSimulate);
     for (std::size_t i = 0; i < pending.size(); ++i)
@@ -144,11 +239,15 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
     std::vector<obs::MetricRegistry> shards(
         metricsV != nullptr ? missing.size() : 0);
     parallelFor(missing.size(), jobsV, [&](std::size_t i) {
+        const Pending &p = pending[missing[i]];
+        if (p.partial != nullptr) {
+            advance(*p.partial, total);
+            return;
+        }
         Transmuter task_sim(wl.params);
         if (metricsV != nullptr)
             task_sim.setMetrics(&shards[i]);
-        results[i] =
-            task_sim.run(wl.trace, pending[missing[i]].cfg, budgetV);
+        results[i] = task_sim.run(wl.trace, p.cfg, budgetV);
     });
 
     // Barrier passed: commit store hits and fresh replays interleaved
@@ -162,6 +261,12 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
             commit(p.key, std::move(*p.fromStore));
             continue;
         }
+        if (p.partial != nullptr) {
+            account(*p.partial, p.before);
+            ++next;
+            continue;
+        }
+        replayedV += results[next].epochs.size();
         if (storeV != nullptr)
             storeV->put(fingerprintV, p.cfg, results[next]);
         commit(p.key, std::move(results[next]));
@@ -180,9 +285,12 @@ EpochDb::epochs(const HwConfig &cfg)
 std::size_t
 EpochDb::numEpochs()
 {
-    if (cache.empty())
+    // The store and the metrics record which configurations were
+    // replayed, in order, and a first numEpochs() has always replayed
+    // the baseline: keep that, so those artifacts stay the same.
+    if (cache.empty() && (storeV != nullptr || metricsV != nullptr))
         result(baselineConfig(wl.l1Type));
-    return cache.begin()->second.epochs.size();
+    return epochTotal();
 }
 
 double
@@ -230,7 +338,7 @@ stitch(EpochDb &db, const Schedule &schedule,
             ++ev.reconfigCount;
             current = cfg;
         }
-        const EpochRecord &rec = db.epochs(cfg)[e];
+        const EpochRecord &rec = db.epoch(cfg, e);
         ev.flops += rec.flops;
         ev.seconds += rec.seconds;
         ev.energy += rec.totalEnergy();

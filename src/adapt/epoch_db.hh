@@ -15,6 +15,15 @@
  * consume more. The records kept are a bit-exact prefix of the full
  * run's (Transmuter::run's max_epochs).
  *
+ * An entry may also be partial: epoch(cfg, e) resumes the
+ * configuration's suspended Replay only up to record e, so a caller
+ * that reads epoch by epoch (a serve session) never replays the
+ * epochs after the last one it reads. result(), epochs() and ensure()
+ * complete an entry. A database with a store or a metrics registry
+ * attached completes every replay at first touch, so the store file
+ * and the sim/ and profile/ metrics are the same whatever the call
+ * pattern (DESIGN.md section 9).
+ *
  * Replays of distinct configurations are independent given the shared
  * immutable trace, whose columns every replay reads in place, so the
  * database exposes a batch ensure() API that replays missing
@@ -27,6 +36,7 @@
 #ifndef SADAPT_ADAPT_EPOCH_DB_HH
 #define SADAPT_ADAPT_EPOCH_DB_HH
 
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -40,7 +50,8 @@ namespace sadapt {
 
 /**
  * Lazily memoized simulations of one workload, one per hardware
- * configuration: full runs, or budget-long prefixes of them.
+ * configuration: full runs, budget-long prefixes of them, or the
+ * records read so far plus the suspended replay that continues them.
  */
 class EpochDb
 {
@@ -65,8 +76,9 @@ class EpochDb
 
     /**
      * Pre-announce a candidate set: simulate every configuration of
-     * `cfgs` not yet in the cache, using up to jobs() concurrent
-     * replays, and commit the results in request order. Calling
+     * `cfgs` not yet in the cache and complete every partial one,
+     * using up to jobs() concurrent replays, then commit the results
+     * in request order. Calling
      * ensure() before a loop of result()/epochs() calls turns the
      * loop's serial cache misses into one parallel batch; with
      * jobs() == 1 it simulates serially in the same order and is
@@ -84,29 +96,43 @@ class EpochDb
     const std::vector<EpochRecord> &epochs(const HwConfig &cfg);
 
     /**
+     * Record `e` (< numEpochs()) under one configuration, replaying
+     * no further than that record unless the entry is already
+     * complete or the database completes every replay (a store or
+     * metrics attached). The reference stays valid for the
+     * database's life.
+     */
+    const EpochRecord &epoch(const HwConfig &cfg, std::size_t e);
+
+    /**
      * Number of epochs recorded per configuration (identical for
      * every configuration): min(epochBudget(), N) for a trace of N
-     * epochs, or N without a budget.
+     * epochs, or N without a budget. Counted from the trace
+     * (Transmuter::epochCount), not replayed; with a store or
+     * metrics attached, the first call on an empty database still
+     * replays the baseline, as those artifacts record it.
      */
     std::size_t numEpochs();
 
     /** The replay epoch budget; 0 = whole trace. */
     std::size_t epochBudget() const { return budgetV; }
 
-    /** Number of configurations simulated so far. */
+    /** Number of configurations simulated so far, wholly or partly. */
     std::size_t simulatedConfigs() const { return cache.size(); }
+
+    /**
+     * Epoch records replayed so far, over every configuration; store
+     * hits replay nothing. A deterministic count of replay work.
+     */
+    std::uint64_t epochsReplayed() const { return replayedV; }
 
     /**
      * Export sim/ metrics from every future (non-memoized) simulation
      * into a registry. Attach before the first result()/epochs() call
-     * to cover the whole run; null detaches.
+     * to cover the whole run, and before any partial read; null
+     * detaches.
      */
-    void
-    attachMetrics(obs::MetricRegistry *metrics)
-    {
-        metricsV = metrics;
-        sim.setMetrics(metrics);
-    }
+    void attachMetrics(obs::MetricRegistry *metrics);
 
     const Workload &workload() const { return wl; }
 
@@ -116,7 +142,8 @@ class EpochDb
      * workload's fingerprint before replaying, and every replay is
      * written back at its commit point — in request order, so the
      * store file's bytes are identical for any jobs() setting. Null
-     * detaches. The store outlives the database (caller-owned).
+     * detaches. Attach before any partial read. The store outlives
+     * the database (caller-owned).
      */
     void attachStore(store::EpochStore *epoch_store);
 
@@ -147,6 +174,16 @@ class EpochDb
     HwConfig keyConfig(std::uint64_t key) const;
 
   private:
+    /**
+     * One configuration's records so far. `replay` continues them and
+     * is null once the entry is complete (numEpochs() records).
+     */
+    struct Entry
+    {
+        SimResult result;
+        std::optional<Replay> replay;
+    };
+
     const Workload &wl;
     std::size_t budgetV = 0;
     Transmuter sim;
@@ -154,13 +191,37 @@ class EpochDb
     obs::MetricRegistry *metricsV = nullptr;
     store::EpochStore *storeV = nullptr;
     std::uint64_t fingerprintV = 0;
-    std::unordered_map<std::uint64_t, SimResult> cache;
+    std::size_t countV = 0;       //!< epochCount(), 0 until computed
+    std::size_t partialV = 0;     //!< entries with a suspended replay
+    std::uint64_t replayedV = 0;  //!< epochsReplayed()
+    std::unordered_map<std::uint64_t, Entry> cache;
 
-    const SimResult &commit(std::uint64_t key, SimResult res);
+    /** numEpochs() without the artifact-preserving baseline replay. */
+    std::size_t epochTotal();
+
+    /**
+     * The entry of cfg: cached, a store hit, a full replay when a
+     * store or metrics are attached, or else a new partial entry.
+     */
+    Entry &entry(const HwConfig &cfg);
+
+    /** Cache a complete result (a store hit or a full replay). */
+    Entry &commit(std::uint64_t key, SimResult res);
 
     /** Replay cfg on the member simulator, checkpoint it, commit it. */
-    const SimResult &simulateAndCommit(std::uint64_t key,
-                                       const HwConfig &cfg);
+    Entry &simulateAndCommit(std::uint64_t key, const HwConfig &cfg);
+
+    /** Resume a partial entry until it holds `want` records. */
+    static void advance(Entry &en, std::size_t want);
+
+    /**
+     * Count the records a partial entry gained since it held `before`
+     * and release its replay once it is complete.
+     */
+    void account(Entry &en, std::size_t before);
+
+    /** advance() then account(). */
+    void extend(Entry &en, std::size_t want);
 };
 
 /** Aggregate outcome of a stitched schedule. */

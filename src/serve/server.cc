@@ -28,9 +28,9 @@ namespace {
  * handles (predictor, store) — which is exactly the boundary the
  * lint-serve-session-state rule enforces for this directory.
  *
- * The database replays the workload's trace in place, at most
- * spec.maxEpochs epochs per configuration, the most the session can
- * ever serve.
+ * The database replays the workload's trace in place, each
+ * configuration only up to the last epoch the session reads under it,
+ * and never past spec.maxEpochs, the most the session can serve.
  */
 struct ServeSession
 {
@@ -57,7 +57,9 @@ struct ServeSession
           policy(opt.policy, opt.tolerance),
           ctx{opt.predictor, &policy, opt.mode, &cost,
               nullptr,       false,   &observer},
-          state(makeSessionState(initial, ctx))
+          state(makeSessionState(initial, ctx)),
+          epochsTotal(Transmuter(workload.params)
+                          .epochCount(workload.trace, sp.maxEpochs))
     {
         // Shard journaling starts empty; the server emits the open
         // event right after construction, so it is the first line.
@@ -65,7 +67,6 @@ struct ServeSession
         db.setJobs(1);
         if (opt.store != nullptr)
             db.attachStore(opt.store);
-        epochsTotal = db.numEpochs();
         state.schedule.configs.reserve(epochsTotal);
     }
 };
@@ -205,13 +206,14 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
 
         // Fetch (session id order): the telemetry of the epoch each
         // open session just finished. EpochDb and the shared store
-        // are not thread-safe; every cache miss replays here, in a
-        // deterministic order. A session's decision latency is its own
-        // fetch plus its own step, never another session's work.
+        // are not thread-safe; every replay resumes here, in a
+        // deterministic order, and runs only to the epoch fetched. A
+        // session's decision latency is its own fetch plus its own
+        // step, never another session's work.
         for (std::size_t i : active) {
             ServeSession &s = *all[i];
             const std::uint64_t t0 = opt.nowNs ? opt.nowNs() : 0;
-            s.rec = &s.db.epochs(s.state.current)[s.state.epoch];
+            s.rec = &s.db.epoch(s.state.current, s.state.epoch);
             if (opt.nowNs)
                 s.fetchNs = opt.nowNs() - t0;
         }
@@ -239,6 +241,7 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
             if (s.state.epoch >= s.epochsTotal) {
                 closeSession(s, opt, server, out.outcomes[i],
                              closed[i]);
+                out.epochsReplayed += s.db.epochsReplayed();
                 all[i].reset(); // workload, trace and database
             } else {
                 still.push_back(i);

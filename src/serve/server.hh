@@ -22,9 +22,12 @@
  * observations (tick counts, wall-clock decision latency) are returned
  * in ServeResult only and never enter the merged journal or registry.
  *
- * A session's epoch database replays no further than the session's
- * epoch budget (SessionSpec::maxEpochs), the most it can serve, and a
- * session's workload and database are released as soon as it closes.
+ * Admitting a session replays nothing: its epoch count comes from the
+ * trace (Transmuter::epochCount). Its epoch database replays each
+ * configuration only up to the last epoch the session reads under it,
+ * never past the session's epoch budget (SessionSpec::maxEpochs), and
+ * a session's workload and database are released as soon as it
+ * closes.
  */
 
 #ifndef SADAPT_SERVE_SERVER_HH
@@ -115,6 +118,13 @@ struct ServeResult
     std::uint64_t ticks = 0;        //!< scheduling ticks processed
     std::uint64_t epochsServed = 0; //!< total epochs across sessions
     std::uint64_t decisions = 0;    //!< reconfiguration answers issued
+
+    /**
+     * Epoch records replayed across every session's database, store
+     * hits excluded: the replay work behind epochsServed. Reported
+     * here only, never journaled, like the tick count.
+     */
+    std::uint64_t epochsReplayed = 0;
 
     /**
      * Wall-clock decision latency, nearest-rank quantiles of every

@@ -105,6 +105,15 @@ Trace::totalFlops() const
 }
 
 std::uint64_t
+Trace::totalSpmOps() const
+{
+    std::uint64_t n = 0;
+    for (std::uint32_t g = 0; g < shapeV.numGpes(); ++g)
+        n += streamsV[g].spmOps;
+    return n;
+}
+
+std::uint64_t
 Trace::totalOps() const
 {
     std::uint64_t n = 0;
@@ -193,6 +202,11 @@ Trace::streamDigests() const
     for (const Columns &s : streamsV)
         digests->push_back(digestStream(s.view()));
     std::lock_guard<std::mutex> lock(memo.mu);
+    // A thread that raced this one may have published equal digests
+    // meanwhile: keep those, so a memo entry another thread may still
+    // read is never released from this one.
+    if (memo.digests && memo.ops == ops && memo.phases == phases.size())
+        return memo.digests;
     memo.ops = ops;
     memo.phases = phases.size();
     memo.digests = digests;

@@ -55,6 +55,13 @@ isFpKind(OpKind k)
         k == OpKind::FpStore;
 }
 
+/** @return true if the kind moves a word to or from the scratchpad. */
+constexpr bool
+isSpmKind(OpKind k)
+{
+    return k == OpKind::SpmLoad || k == OpKind::SpmStore;
+}
+
 /** @return true if the kind accesses the memory hierarchy. */
 constexpr bool
 isMemKind(OpKind k)
@@ -156,13 +163,14 @@ struct TraceView
  */
 class Trace
 {
-    /** One stream's columns and its running FP-op count. */
+    /** One stream's columns and its running FP-op and SPM counts. */
     struct Columns
     {
         std::vector<std::uint8_t> kind;
         std::vector<Addr> addr;
         std::vector<std::uint16_t> pc;
         std::uint64_t fpOps = 0;
+        std::uint64_t spmOps = 0;
 
         void
         push(TraceOp op)
@@ -171,6 +179,7 @@ class Trace
             addr.push_back(op.addr);
             pc.push_back(op.pc);
             fpOps += isFpKind(op.kind);
+            spmOps += isSpmKind(op.kind);
         }
 
         StreamView
@@ -272,6 +281,9 @@ class Trace
 
     /** Total FP-ops across all GPE streams. */
     double totalFlops() const;
+
+    /** Total SPM loads and stores across all GPE streams. */
+    std::uint64_t totalSpmOps() const;
 
     /** Total op count across all streams. */
     std::uint64_t totalOps() const;

@@ -605,25 +605,6 @@ struct Engine
 
 } // namespace
 
-SimResult
-Transmuter::run(const Trace &trace, const HwConfig &cfg,
-                std::size_t max_epochs) const
-{
-    return runImpl(trace.view(), cfg, nullptr, nullptr, true, nullptr,
-                   max_epochs);
-}
-
-SimResult
-Transmuter::runSchedule(const Trace &trace, const Schedule &schedule,
-                        const ReconfigCostModel &cost_model,
-                        bool energy_efficient_mode,
-                        FaultInjector *faults) const
-{
-    SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
-    return runImpl(trace.view(), schedule.configs.front(), &schedule,
-                   &cost_model, energy_efficient_mode, faults, 0);
-}
-
 namespace {
 
 /**
@@ -647,6 +628,76 @@ injectTelemetryFaults(FaultInjector *faults, EpochRecord &rec)
 }
 
 } // namespace
+
+/**
+ * Everything a suspended replay keeps between two epochs: the engine
+ * (with copies of the parameters and DVFS model it references), its
+ * own view of the trace, the event tree, the stream cursors, the
+ * barrier state and the epoch boundary bookkeeping.
+ */
+struct Replay::State
+{
+    RunParams params;
+    DvfsModel dvfs;
+    TraceView trace;
+    Engine eng;
+    FaultInjector *faults;
+
+    EventTree events;
+    std::vector<std::size_t> cursor;
+    std::uint32_t participants = 0;
+
+    // Phase markers are barriers: merge cannot start before every
+    // producer finished multiplying. A core arriving at a marker parks
+    // until all participating cores arrive.
+    std::vector<std::uint32_t> barrierArrivals;
+    std::vector<std::vector<std::uint32_t>> barrierWaiters;
+    std::vector<Cycles> barrierTime;
+
+    std::uint64_t epochFpTarget;
+    std::uint32_t epochIndex = 0;
+    Cycles epochStart = 0;
+    Cycles maxCycle = 0;
+    bool done = false;
+
+    State(const RunParams &rp, const DvfsModel &dv, const Trace &t,
+          const HwConfig &cfg, FaultInjector *f)
+        : params(rp), dvfs(dv), trace(t.view()),
+          eng(params, cfg, dvfs, trace), faults(f),
+          events(eng.numCores), cursor(eng.numCores, 0),
+          barrierArrivals(trace.phases.size(), 0),
+          barrierWaiters(trace.phases.size()),
+          barrierTime(trace.phases.size(), 0),
+          epochFpTarget(params.epochFpOps * eng.numGpes)
+    {
+        SADAPT_ASSERT(trace.shape == params.shape,
+                      "trace shape does not match simulator shape");
+        for (std::uint32_t c = 0; c < eng.numCores; ++c) {
+            if (trace.streams[c].size != 0) {
+                events.set(c, events.pack(0, c));
+                ++participants;
+            }
+        }
+    }
+};
+
+Replay::Replay(const Transmuter &sim, const Trace &trace,
+               const HwConfig &cfg, FaultInjector *faults)
+    : st(std::make_unique<State>(sim.paramsV, sim.dvfs, trace, cfg,
+                                 faults))
+{
+    st->eng.metrics = sim.metricsV;
+}
+
+Replay::~Replay() = default;
+Replay::Replay(Replay &&other) noexcept = default;
+Replay &Replay::operator=(Replay &&other) noexcept = default;
+
+bool
+Replay::done() const
+{
+    return st->done;
+}
 
 /*
  * The replay loop. Each step executes ONE op of the core with the
@@ -673,63 +724,32 @@ injectTelemetryFaults(FaultInjector *faults, EpochRecord &rec)
  *
  * The epoch closes at the GPE op whose FP-op (or SPM word) count
  * reaches the epoch target, right after that core's next event is
- * set, so a reconfiguration rescales every pending event. A core's
- * local cycle lives only in its pending key: a parked core gets the
- * barrier's release cycle and a finished core is never read again.
+ * set, so a reconfiguration at the boundary (switchTo) rescales every
+ * pending event. A core's local cycle lives only in its pending key:
+ * a parked core gets the barrier's release cycle and a finished core
+ * is never read again. When the ops run out, a last epoch closes if
+ * it executed any FP work, or if no epoch closed at all.
+ *
+ * The loop's per-op state lives in locals and goes back into the
+ * State once per epoch, so a resumable replay costs the hot loop
+ * nothing over a one-shot one.
  */
-SimResult
-Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
-                    const Schedule *schedule,
-                    const ReconfigCostModel *cost_model,
-                    bool energy_efficient_mode,
-                    FaultInjector *faults,
-                    std::size_t max_epochs) const
+std::optional<EpochRecord>
+Replay::step()
 {
-    SADAPT_ASSERT(trace.shape == paramsV.shape,
-                  "trace shape does not match simulator shape");
-    Engine eng(paramsV, cfg, dvfs, trace);
-    eng.metrics = metricsV;
-
-    SimResult result;
-    result.config = cfg;
-    if (paramsV.epochFpOps > 0) {
-        std::size_t expected = static_cast<std::size_t>(
-            double(trace.totalFpOps) /
-                double(paramsV.epochFpOps * eng.numGpes)) + 2;
-        if (max_epochs > 0)
-            expected = std::min(expected, max_epochs);
-        result.epochs.reserve(expected);
-    }
-
-    const std::uint32_t num_cores = eng.numCores;
+    State &s = *st;
+    if (s.done)
+        return std::nullopt;
+    Engine &eng = s.eng;
+    EventTree &events = s.events;
     const std::uint32_t num_gpes = eng.numGpes;
-    const StreamView *streams = trace.streams.data();
-    std::vector<std::size_t> cursor(num_cores, 0);
-
-    EventTree events(num_cores);
-    std::uint32_t participants = 0;
-    for (std::uint32_t c = 0; c < num_cores; ++c) {
-        if (streams[c].size != 0) {
-            events.set(c, events.pack(0, c));
-            ++participants;
-        }
-    }
-
-    // Phase markers are barriers: merge cannot start before every
-    // producer finished multiplying. A core arriving at a marker parks
-    // until all participating cores arrive.
-    const std::size_t num_phases = trace.phases.size();
-    std::vector<std::uint32_t> barrier_arrivals(num_phases, 0);
-    std::vector<std::vector<std::uint32_t>> barrier_waiters(num_phases);
-    std::vector<Cycles> barrier_time(num_phases, 0);
-
-    const std::uint64_t epoch_fp_target =
-        paramsV.epochFpOps * eng.numGpes;
+    const StreamView *streams = s.trace.streams.data();
+    std::size_t *cursor = s.cursor.data();
+    const std::uint32_t participants = s.participants;
+    const std::uint64_t epoch_fp_target = s.epochFpTarget;
     const Joules int_e = eng.rp.energy.intOpEnergy;
     const Joules fp_e = eng.rp.energy.fpOpEnergy;
-    std::uint32_t epoch_index = 0;
-    Cycles epoch_start = 0;
-    Cycles max_cycle = 0;
+    Cycles max_cycle = s.maxCycle;
 
     for (std::uint64_t key; (key = events.min()) != EventTree::idle;) {
         const std::uint32_t core = events.coreOf(key);
@@ -746,19 +766,19 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
             const auto pid = static_cast<std::size_t>(sv.addr[i]);
             eng.corePhase[core] = static_cast<int>(sv.addr[i]);
             max_cycle = std::max(max_cycle, t);
-            barrier_time[pid] = std::max(barrier_time[pid], t);
+            s.barrierTime[pid] = std::max(s.barrierTime[pid], t);
             std::uint64_t next = EventTree::idle;
-            if (++barrier_arrivals[pid] == participants) {
-                const Cycles release = barrier_time[pid];
+            if (++s.barrierArrivals[pid] == participants) {
+                const Cycles release = s.barrierTime[pid];
                 max_cycle = std::max(max_cycle, release);
                 if (i + 1 < sv.size)
                     next = events.pack(release, core);
-                for (std::uint32_t w : barrier_waiters[pid]) {
+                for (std::uint32_t w : s.barrierWaiters[pid]) {
                     if (cursor[w] < streams[w].size)
                         events.set(w, events.pack(release, w));
                 }
             } else {
-                barrier_waiters[pid].push_back(core);
+                s.barrierWaiters[pid].push_back(core);
             }
             events.set(core, next);
             continue;
@@ -773,7 +793,7 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
             fp_op = true;
             eng.ac.coreE += fp_e;
             t += 2;
-        } else if (kind == OpKind::SpmLoad || kind == OpKind::SpmStore) {
+        } else if (isSpmKind(kind)) {
             SADAPT_ASSERT(eng.spmMode && is_gpe,
                           "SPM op outside SPM mode GPE stream");
             fp_op = true; // SPM ops move FP words (Table 2)
@@ -807,57 +827,110 @@ Transmuter::runImpl(const TraceView &trace, const HwConfig &cfg,
         if (!(fp_op && is_gpe && eng.ac.gpeFpOps >= epoch_fp_target))
             continue;
 
-        result.epochs.push_back(
-            eng.closeEpoch(epoch_index++, epoch_start, t));
-        injectTelemetryFaults(faults, result.epochs.back());
         // Every closed record depends only on ops already executed,
-        // so stopping here leaves a bit-exact prefix of the full run.
-        if (epoch_index == max_epochs)
-            return result;
-        epoch_start = t;
-
-        HwConfig next = eng.cfg;
-        if (schedule && epoch_index < schedule->configs.size()) {
-            next = schedule->configs[epoch_index];
-            if (faults != nullptr)
-                next = faults->applyCommand(epoch_index, eng.cfg,
-                                            next);
-        }
-        if (!(next == eng.cfg)) {
-            // Live reconfiguration at the epoch boundary: charge
-            // the penalty as a global stall and rescale every
-            // pending event into the new clock domain. (Background
-            // power during the stall is charged by both the cost
-            // model and the epoch window — a small, documented
-            // overlap.)
-            const ReconfigCost rc = cost_model->cost(
-                eng.cfg, next, energy_efficient_mode);
-            const double ratio = eng.reconfigure(
-                next, rc.flushL1, rc.flushL2);
-            eng.pendingPenaltyEnergy += rc.energy;
-            const auto penalty = static_cast<Cycles>(
-                std::ceil(rc.seconds * eng.freq));
-            auto rescale = [&](Cycles tt) {
-                return static_cast<Cycles>(
-                    std::llround(double(tt) * ratio));
-            };
-            for (std::uint32_t c = 0; c < num_cores; ++c) {
-                const std::uint64_t pending = events.key(c);
-                if (pending != EventTree::idle)
-                    events.set(c, events.pack(
-                        rescale(events.cycleOf(pending)) + penalty, c));
-            }
-            for (auto &tt : barrier_time)
-                tt = rescale(tt);
-            epoch_start = rescale(epoch_start);
-            max_cycle = rescale(max_cycle) + penalty;
-        }
+        // so a caller that stops here holds a bit-exact prefix of the
+        // full run.
+        s.maxCycle = max_cycle;
+        EpochRecord rec = eng.closeEpoch(s.epochIndex++, s.epochStart, t);
+        injectTelemetryFaults(s.faults, rec);
+        s.epochStart = t;
+        return rec;
     }
-    if (eng.ac.gpeFpOps > 0 || result.epochs.empty()) {
-        result.epochs.push_back(eng.closeEpoch(
-            epoch_index, epoch_start,
-            std::max(max_cycle, epoch_start + 1)));
-        injectTelemetryFaults(faults, result.epochs.back());
+    s.done = true;
+    s.maxCycle = max_cycle;
+    if (eng.ac.gpeFpOps == 0 && s.epochIndex > 0)
+        return std::nullopt;
+    EpochRecord rec = eng.closeEpoch(s.epochIndex++, s.epochStart,
+                                     std::max(max_cycle, s.epochStart + 1));
+    injectTelemetryFaults(s.faults, rec);
+    return rec;
+}
+
+void
+Replay::switchTo(HwConfig next, const ReconfigCostModel &cost_model,
+                 bool energy_efficient_mode)
+{
+    State &s = *st;
+    Engine &eng = s.eng;
+    if (s.faults != nullptr)
+        next = s.faults->applyCommand(s.epochIndex, eng.cfg, next);
+    if (next == eng.cfg)
+        return;
+    // Live reconfiguration at the epoch boundary: charge the penalty
+    // as a global stall and rescale every pending event into the new
+    // clock domain. (Background power during the stall is charged by
+    // both the cost model and the epoch window — a small, documented
+    // overlap.)
+    const ReconfigCost rc =
+        cost_model.cost(eng.cfg, next, energy_efficient_mode);
+    const double ratio = eng.reconfigure(next, rc.flushL1, rc.flushL2);
+    eng.pendingPenaltyEnergy += rc.energy;
+    const auto penalty =
+        static_cast<Cycles>(std::ceil(rc.seconds * eng.freq));
+    auto rescale = [&](Cycles tt) {
+        return static_cast<Cycles>(std::llround(double(tt) * ratio));
+    };
+    EventTree &events = s.events;
+    for (std::uint32_t c = 0; c < eng.numCores; ++c) {
+        const std::uint64_t pending = events.key(c);
+        if (pending != EventTree::idle)
+            events.set(c, events.pack(
+                rescale(events.cycleOf(pending)) + penalty, c));
+    }
+    for (auto &tt : s.barrierTime)
+        tt = rescale(tt);
+    s.epochStart = rescale(s.epochStart);
+    s.maxCycle = rescale(s.maxCycle) + penalty;
+}
+
+std::size_t
+Transmuter::epochCount(const Trace &trace, std::size_t budget) const
+{
+    const std::uint64_t target =
+        paramsV.epochFpOps * paramsV.shape.numGpes();
+    const auto counted =
+        static_cast<std::uint64_t>(trace.totalFlops()) +
+        trace.totalSpmOps();
+    const auto n = static_cast<std::size_t>(
+        std::max<std::uint64_t>(1, (counted + target - 1) / target));
+    return budget > 0 ? std::min(budget, n) : n;
+}
+
+SimResult
+Transmuter::run(const Trace &trace, const HwConfig &cfg,
+                std::size_t max_epochs) const
+{
+    SimResult result;
+    result.config = cfg;
+    const std::size_t n = epochCount(trace, max_epochs);
+    result.epochs.reserve(n);
+    Replay replay(*this, trace, cfg);
+    while (result.epochs.size() < n) {
+        std::optional<EpochRecord> rec = replay.step();
+        SADAPT_ASSERT(rec.has_value(), "replay closed fewer epochs "
+                                       "than epochCount()");
+        result.epochs.push_back(*rec);
+    }
+    return result;
+}
+
+SimResult
+Transmuter::runSchedule(const Trace &trace, const Schedule &schedule,
+                        const ReconfigCostModel &cost_model,
+                        bool energy_efficient_mode,
+                        FaultInjector *faults) const
+{
+    SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
+    SimResult result;
+    result.config = schedule.configs.front();
+    result.epochs.reserve(epochCount(trace, 0));
+    Replay replay(*this, trace, result.config, faults);
+    while (std::optional<EpochRecord> rec = replay.step()) {
+        result.epochs.push_back(*rec);
+        const std::size_t e = result.epochs.size();
+        if (!replay.done() && e < schedule.configs.size())
+            replay.switchTo(schedule.configs[e], cost_model,
+                            energy_efficient_mode);
     }
     return result;
 }

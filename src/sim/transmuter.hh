@@ -12,6 +12,8 @@
 #ifndef SADAPT_SIM_TRANSMUTER_HH
 #define SADAPT_SIM_TRANSMUTER_HH
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -112,7 +114,8 @@ struct SimResult
 
 /**
  * The simulator. Stateless between run() calls: each run models a fresh
- * (cold) device execution under one configuration.
+ * (cold) device execution under one configuration. run() and
+ * runSchedule() are loops over one Replay, the engine's only body.
  */
 class Transmuter
 {
@@ -159,6 +162,16 @@ class Transmuter
                           bool energy_efficient_mode,
                           FaultInjector *faults = nullptr) const;
 
+    /**
+     * The number of epoch records a replay of `trace` closes, without
+     * replaying it: min(budget, max(1, ceil(G / target))), where G is
+     * the trace's GPE FP ops plus its SPM words (the ops the engine
+     * counts toward an epoch) and target is epochFpOps x GPEs. A
+     * budget of 0 means no limit. Every configuration closes the same
+     * count, because epochs are delimited by FP-op counts.
+     */
+    std::size_t epochCount(const Trace &trace, std::size_t budget) const;
+
     const RunParams &params() const { return paramsV; }
 
     /**
@@ -174,16 +187,67 @@ class Transmuter
     }
 
   private:
+    friend class Replay;
+
     RunParams paramsV;
     DvfsModel dvfs;
     obs::MetricRegistry *metricsV = nullptr;
+};
 
-    SimResult runImpl(const TraceView &trace, const HwConfig &cfg,
-                      const Schedule *schedule,
-                      const ReconfigCostModel *cost_model,
-                      bool energy_efficient_mode,
-                      FaultInjector *faults,
-                      std::size_t max_epochs) const;
+/**
+ * One replay of a trace, suspended at epoch boundaries: the engine's
+ * cache, prefetcher, crossbar, memory and event state between two
+ * step() calls. step() runs to the next epoch close and returns its
+ * record; between two steps the replay may switch configuration,
+ * exactly as a live reconfiguration at that boundary. A replay that
+ * is stepped to its end without switching produces the records of
+ * Transmuter::run, bit for bit, however many calls that takes.
+ *
+ * The replay copies the simulator's parameters, DVFS model and
+ * metrics target at construction and reads the trace's columns in
+ * place: the trace must outlive the replay and stay unmodified. Each
+ * replay is independent of every other, so replays of one trace may
+ * run on different threads.
+ */
+class Replay
+{
+  public:
+    /**
+     * @param sim the simulator whose parameters (and metrics target)
+     *        to replay with.
+     * @param trace functional trace (shape must match the simulator).
+     * @param cfg the configuration of the first epoch.
+     * @param faults optional fault injector for the telemetry of every
+     *        closed epoch and the command path of every switchTo().
+     */
+    Replay(const Transmuter &sim, const Trace &trace, const HwConfig &cfg,
+           FaultInjector *faults = nullptr);
+    ~Replay();
+    Replay(Replay &&other) noexcept;
+    Replay &operator=(Replay &&other) noexcept;
+
+    /**
+     * Run to the next epoch close and return that record; nothing
+     * once the trace ends without closing another epoch.
+     */
+    std::optional<EpochRecord> step();
+
+    /** True once step() has run out of ops: no record follows. */
+    bool done() const;
+
+    /**
+     * Reconfigure at the boundary the last step() closed: the fault
+     * injector's command path may divert `next`; a change resizes and
+     * flushes the caches as the cost model says, charges its penalty
+     * into the next epoch and rescales every pending event into the
+     * new clock domain.
+     */
+    void switchTo(HwConfig next, const ReconfigCostModel &cost_model,
+                  bool energy_efficient_mode);
+
+  private:
+    struct State;
+    std::unique_ptr<State> st;
 };
 
 } // namespace sadapt

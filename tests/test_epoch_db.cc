@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "adapt/epoch_db.hh"
 #include "common/rng.hh"
 #include "epoch_records.hh"
@@ -209,4 +211,103 @@ TEST(ScheduleEval, MetricConsistency)
     EXPECT_DOUBLE_EQ(ev.gflopsPerWatt(), 0.5);
     EXPECT_DOUBLE_EQ(ev.metric(OptMode::EnergyEfficient), 0.5);
     EXPECT_DOUBLE_EQ(ev.metric(OptMode::PowerPerformance), 2.0);
+}
+
+/*
+ * Without a store or metrics, an entry replays only as far as it is
+ * read: epoch(cfg, e) resumes the configuration's replay up to record
+ * e, a read behind that replays nothing, and result() finishes it.
+ * Every record equals the one-shot run's, bit for bit.
+ */
+TEST(EpochDb, PartialReadsReplayOnlyWhatIsRead)
+{
+    for (const test::PrefixCase &c : test::prefixCases()) {
+        SCOPED_TRACE(c.what);
+        const Workload &wl = c.workload;
+        const SimResult want = Transmuter(wl.params).run(wl.trace, c.cfg);
+        const std::size_t n = want.epochs.size();
+        ASSERT_GE(n, 4u);
+
+        EpochDb db(wl);
+        EXPECT_EQ(db.numEpochs(), n);
+        EXPECT_EQ(db.epochsReplayed(), 0u);
+        EXPECT_EQ(db.simulatedConfigs(), 0u);
+
+        test::expectSameRecord(db.epoch(c.cfg, 0), want.epochs[0]);
+        EXPECT_EQ(db.epochsReplayed(), 1u);
+        const EpochRecord &third = db.epoch(c.cfg, 2);
+        test::expectSameRecord(third, want.epochs[2]);
+        EXPECT_EQ(db.epochsReplayed(), 3u);
+        test::expectSameRecord(db.epoch(c.cfg, 1), want.epochs[1]);
+        EXPECT_EQ(db.epochsReplayed(), 3u);
+        EXPECT_EQ(db.simulatedConfigs(), 1u);
+
+        // Completing the entry keeps earlier references valid.
+        test::expectPrefixOf(db.epochs(c.cfg), want.epochs);
+        EXPECT_EQ(db.epochs(c.cfg).size(), n);
+        EXPECT_EQ(&third, &db.epochs(c.cfg)[2]);
+        EXPECT_EQ(db.epochsReplayed(), n);
+        db.epoch(c.cfg, n - 1);
+        EXPECT_EQ(db.epochsReplayed(), n);
+    }
+}
+
+/*
+ * A database with metrics attached completes every replay at first
+ * touch, and its first numEpochs() replays the baseline, so the
+ * exported sim/ metrics do not depend on how the records are read.
+ */
+TEST(EpochDb, AttachedMetricsCompleteEveryReplayAtFirstTouch)
+{
+    Workload wl = smallWorkload();
+    const std::size_t n = EpochDb(wl).numEpochs();
+
+    obs::MetricRegistry metrics;
+    EpochDb db(wl);
+    db.attachMetrics(&metrics);
+    EXPECT_EQ(db.numEpochs(), n);
+    EXPECT_EQ(db.simulatedConfigs(), 1u);
+    EXPECT_EQ(db.epochsReplayed(), n);
+    db.epoch(maxConfig(), 0);
+    EXPECT_EQ(db.epochsReplayed(), 2 * n);
+
+    obs::MetricRegistry whole;
+    EpochDb ref(wl);
+    ref.attachMetrics(&whole);
+    ref.result(baselineConfig());
+    ref.result(maxConfig());
+    std::ostringstream a, b;
+    metrics.writeText(a);
+    whole.writeText(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
+/*
+ * Stitching a schedule prefix reads each configuration only up to the
+ * last epoch the schedule runs it in, and gives the same evaluation
+ * as a database that replayed everything.
+ */
+TEST(EpochDb, StitchedPrefixReplaysOnlyTheEpochsItReads)
+{
+    Workload wl = smallWorkload(40);
+    const ReconfigCostModel cost(wl.params);
+    EpochDb full(wl);
+    ASSERT_GE(full.numEpochs(), 6u);
+    Schedule s;
+    s.configs = {baselineConfig(), baselineConfig(), maxConfig(),
+                 baselineConfig(), maxConfig()};
+    for (const HwConfig &cfg : s.configs)
+        full.result(cfg);
+
+    EpochDb lazy(wl);
+    const ScheduleEval got = evaluateSchedulePrefix(
+        lazy, s, cost, OptMode::EnergyEfficient, baselineConfig());
+    const ScheduleEval want = evaluateSchedulePrefix(
+        full, s, cost, OptMode::EnergyEfficient, baselineConfig());
+    // Baseline up to epoch 3, max up to epoch 4.
+    EXPECT_EQ(lazy.epochsReplayed(), 4u + 5u);
+    EXPECT_EQ(got.seconds, want.seconds);
+    EXPECT_EQ(got.energy, want.energy);
+    EXPECT_EQ(got.flops, want.flops);
+    EXPECT_EQ(got.reconfigCount, want.reconfigCount);
 }

@@ -3,18 +3,23 @@
  * The determinism contract of the parallel sweep engine (DESIGN.md
  * section 9): for any jobs value, EpochDb contents, exported metrics,
  * journal bytes and every stitched ScheduleEval are bit-identical to
- * the jobs=1 serial run — with and without fault injection.
+ * the jobs=1 serial run — with and without fault injection, and when
+ * the batch completes partially read entries.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
 #include "adapt/runner.hh"
 #include "common/rng.hh"
 #include "obs/observer.hh"
+#include "scratch_dir.hh"
 #include "sparse/generators.hh"
+#include "store/epoch_store.hh"
 
 using namespace sadapt;
 
@@ -219,6 +224,106 @@ TEST(ParallelDeterminism, FaultInjectedRunIdenticalAcrossJobs)
               serial.guard.samplesClamped);
     EXPECT_EQ(parallel.watchdogReverts, serial.watchdogReverts);
     EXPECT_EQ(parallel.watchdogHeldEpochs, serial.watchdogHeldEpochs);
+}
+
+namespace {
+
+/** What one partial-then-ensure pass leaves behind. */
+struct PartialPass
+{
+    std::vector<std::vector<EpochRecord>> records;
+    std::uint64_t replayed = 0;
+    std::string metrics;
+    std::string storeBytes;
+};
+
+/*
+ * Read a few epochs of some candidates (leaving their replays
+ * suspended unless artifacts are attached), then ensure() the whole
+ * set, which completes the partial entries alongside fresh replays.
+ */
+PartialPass
+partialThenEnsure(const Workload &wl, const std::vector<HwConfig> &cfgs,
+                  unsigned jobs, const std::string &store_path)
+{
+    PartialPass out;
+    obs::MetricRegistry metrics;
+    store::EpochStore st;
+    {
+        EpochDb db(wl);
+        db.setJobs(jobs);
+        if (!store_path.empty()) {
+            SADAPT_ASSERT(st.open(store_path).isOk(), "store open");
+            db.attachStore(&st);
+            db.attachMetrics(&metrics);
+        }
+        const std::size_t n = db.numEpochs();
+        for (std::size_t i = 0; i < cfgs.size(); i += 2)
+            db.epoch(cfgs[i], (i / 2) % n);
+        db.ensure(cfgs);
+        for (const HwConfig &cfg : cfgs)
+            out.records.push_back(db.epochs(cfg));
+        out.replayed = db.epochsReplayed();
+    }
+    if (!store_path.empty()) {
+        st.flush();
+        std::ifstream in(store_path, std::ios::binary);
+        out.storeBytes.assign(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+        out.metrics = metricsText(metrics);
+    }
+    return out;
+}
+
+void
+expectSameRecords(const PartialPass &got, const PartialPass &want)
+{
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (std::size_t c = 0; c < got.records.size(); ++c) {
+        ASSERT_EQ(got.records[c].size(), want.records[c].size());
+        for (std::size_t e = 0; e < got.records[c].size(); ++e) {
+            const EpochRecord &a = got.records[c][e];
+            const EpochRecord &b = want.records[c][e];
+            EXPECT_EQ(a.cycles, b.cycles);
+            EXPECT_EQ(a.seconds, b.seconds);
+            EXPECT_EQ(a.totalEnergy(), b.totalEnergy());
+            EXPECT_EQ(a.counters.toVector(), b.counters.toVector());
+        }
+    }
+}
+
+} // namespace
+
+TEST(ParallelDeterminism, EnsureCompletesPartialEntriesLikeSerial)
+{
+    Workload wl = sweepWorkload();
+    const std::vector<HwConfig> cfgs = sampledCandidates(wl, 9);
+    std::set<std::uint64_t> keys;
+    for (const HwConfig &cfg : cfgs)
+        keys.insert(EpochDb::key(cfg));
+
+    // No artifacts: the partial entries stay suspended until ensure().
+    const PartialPass serial = partialThenEnsure(wl, cfgs, 1, "");
+    const PartialPass wide = partialThenEnsure(wl, cfgs, 4, "");
+    expectSameRecords(wide, serial);
+    const std::size_t n = serial.records.front().size();
+    EXPECT_EQ(serial.replayed, keys.size() * n);
+    EXPECT_EQ(wide.replayed, serial.replayed);
+
+    // A store and metrics attached: every replay completes at first
+    // touch, and the artifacts are the same at any jobs value.
+    const test::ScratchDir scratch;
+    const PartialPass serial_art =
+        partialThenEnsure(wl, cfgs, 1, scratch.path("serial.store"));
+    const PartialPass wide_art =
+        partialThenEnsure(wl, cfgs, 4, scratch.path("wide.store"));
+    expectSameRecords(serial_art, serial);
+    expectSameRecords(wide_art, serial);
+    EXPECT_FALSE(serial_art.storeBytes.empty());
+    EXPECT_EQ(wide_art.storeBytes, serial_art.storeBytes);
+    EXPECT_FALSE(serial_art.metrics.empty());
+    EXPECT_EQ(wide_art.metrics, serial_art.metrics);
+    EXPECT_EQ(wide_art.replayed, serial_art.replayed);
 }
 
 TEST(EpochDbKey, RoundTripsAndStaysInjective)

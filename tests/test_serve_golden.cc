@@ -222,6 +222,46 @@ TEST(ServeGolden, MergedArtifactsArePinnedAtEveryWindow)
     }
 }
 
+/*
+ * A session replays each configuration it visits up to the last epoch
+ * it reads under it, and no further. The count is deterministic and
+ * out of band: it never reaches the journal or the metrics.
+ */
+TEST(ServeGolden, ReplaysOnlyTheEpochsSessionsRead)
+{
+    std::uint64_t read = 0;   //!< sum of (last epoch read + 1)
+    std::uint64_t budget = 0; //!< served epochs x visited configs
+    for (const unsigned window : {0u, 1u, 4u}) {
+        auto r = serve::runServe(goldenScript(), goldenOptions(window));
+        ASSERT_TRUE(r.isOk()) << r.message();
+        if (window == 0) {
+            for (const auto &[id, seq] : servedConfigs(r.value())) {
+                std::map<std::string, std::size_t> last;
+                for (std::size_t e = 0; e < seq.size(); ++e)
+                    last[seq[e]] = e;
+                for (const auto &[cfg, e] : last)
+                    read += e + 1;
+                budget += seq.size() * last.size();
+            }
+            EXPECT_LT(read, budget);
+        }
+        EXPECT_EQ(r.value().epochsReplayed, read) << "window " << window;
+    }
+
+    // With a store attached every replay runs to the session's epoch
+    // count at first touch, so the store holds whole results.
+    const std::string path =
+        ::testing::TempDir() + "serve_golden_count.store";
+    fs::remove(path);
+    store::EpochStore st;
+    ASSERT_TRUE(st.open(path).isOk());
+    auto r = serve::runServe(goldenScript(), goldenOptions(4, &st));
+    ASSERT_TRUE(r.isOk()) << r.message();
+    EXPECT_EQ(r.value().epochsReplayed, budget);
+    st.close();
+    fs::remove(path);
+}
+
 TEST(ServeGolden, CompactedStoreBytesArePinned)
 {
     const std::string path =

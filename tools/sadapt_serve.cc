@@ -10,9 +10,11 @@
  *   sadapt_serve selfcheck --script traffic.txt --sessions 4
  *
  * replay writes the merged journal/metrics artifacts, which are
- * byte-identical for any --sessions window (DESIGN.md section 14);
- * selfcheck proves it on the spot by comparing a concurrent replay
- * against the fully serial one and exits non-zero on any mismatch.
+ * byte-identical for any --sessions window (DESIGN.md section 14), and
+ * prints the epochs its sessions replayed against the epochs served.
+ * selfcheck proves the byte-identity on the spot by comparing a
+ * concurrent replay against the fully serial one and exits non-zero on
+ * any mismatch.
  * Without --model, a small deterministic built-in model is trained
  * (same recipe every run, so artifacts stay reproducible).
  */
@@ -287,6 +289,9 @@ runReplay(const CliOptions &o)
                 static_cast<unsigned long long>(res.epochsServed),
                 static_cast<unsigned long long>(res.decisions),
                 static_cast<unsigned long long>(res.ticks), wallS);
+    std::printf("replayed %llu epochs for %llu served\n",
+                static_cast<unsigned long long>(res.epochsReplayed),
+                static_cast<unsigned long long>(res.epochsServed));
     std::printf("decision latency p50 %.3f ms, p99 %.3f ms; "
                 "%.1f sessions/s\n",
                 res.decisionP50Ms, res.decisionP99Ms,
