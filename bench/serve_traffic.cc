@@ -4,7 +4,9 @@
  * a fixed 16-session arrival script (fig05 synthetic SpMSpV, fig08
  * real-world SpMSpM and table6 graph SpMSpV families with seeded
  * arrival jitter) through the multi-tenant control server and measure
- * host-side serving throughput and decision latency.
+ * host-side serving throughput and decision latency. Sessions run on
+ * SPARSEADAPT_JOBS workers (at most the window's 4); the gated baseline
+ * is measured at SPARSEADAPT_JOBS=1.
  *
  * The script, the predictor recipe and the serve dataset scale are
  * all pinned — independent of SPARSEADAPT_BENCH_SCALE — so reports
@@ -107,6 +109,7 @@ main()
     for (unsigned rep = 0; rep < reps; ++rep) {
         serve::ServeOptions so;
         so.sessions = kWindow;
+        so.jobs = benchJobs();
         so.scale = kServeScale;
         so.predictor = &pred;
         so.nowNs = wallNowNs;

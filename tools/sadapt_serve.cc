@@ -10,11 +10,13 @@
  *   sadapt_serve selfcheck --script traffic.txt --sessions 4
  *
  * replay writes the merged journal/metrics artifacts, which are
- * byte-identical for any --sessions window (DESIGN.md section 14), and
- * prints the epochs its sessions replayed against the epochs served.
- * selfcheck proves the byte-identity on the spot by comparing a
- * concurrent replay against the fully serial one and exits non-zero on
- * any mismatch.
+ * byte-identical for any --sessions window and worker count (DESIGN.md
+ * section 14), and prints the epochs its sessions replayed against the
+ * epochs served. Sessions run on SPARSEADAPT_JOBS workers (default: the
+ * hardware concurrency), at most one per window slot; with --store the
+ * run is serial. selfcheck proves the byte-identity on the spot by
+ * comparing that replay against the fully serial one (window 1, one
+ * job) and exits non-zero on any mismatch.
  * Without --model, a small deterministic built-in model is trained
  * (same recipe every run, so artifacts stay reproducible).
  */
@@ -30,6 +32,7 @@
 #include "adapt/trainer.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/threading.hh"
 #include "serve/server.hh"
 #include "serve/traffic.hh"
 #include "store/epoch_store.hh"
@@ -219,6 +222,7 @@ serveOptions(const CliOptions &o, const Predictor &pred,
 {
     serve::ServeOptions so;
     so.sessions = static_cast<unsigned>(o.sessions);
+    so.jobs = defaultJobs();
     so.scale = o.scale;
     so.predictor = &pred;
     so.policy = policyKindOf(o.policy);
@@ -318,6 +322,7 @@ runSelfcheck(const CliOptions &o)
 
     serve::ServeOptions serial = concurrent;
     serial.sessions = 1;
+    serial.jobs = 1;
     auto b = serve::runServe(script, serial);
     if (!b.isOk())
         fatal(b.message());
