@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <sstream>
+#include <string_view>
+#include <tuple>
 
 #include "common/rng.hh"
 #include "sparse/suite.hh"
@@ -158,6 +161,26 @@ buildSessionWorkload(const SessionSpec &spec, double scale,
     wo.epochFpOps = std::max<std::uint64_t>(
         100, static_cast<std::uint64_t>(500 * v_scale));
     return makeSpMSpVWorkload(spec.dataset, m, x, wo);
+}
+
+std::vector<std::size_t>
+largestFirst(const TrafficScript &script)
+{
+    // Each kernel scales every dataset alike (buildSessionWorkload),
+    // so the paper-reported NNZ ranks the sessions of one kernel. Equal
+    // NNZ (U1 and P1, say) falls back to the dataset id, not arrival.
+    // Ranks sort ascending: SpMSpM first, ~nnz puts the largest first.
+    const auto rank = [&](std::size_t i) {
+        const SessionSpec &s = script.sessions[i];
+        return std::tuple(s.kernel != "spmspm", ~suiteEntry(s.dataset).nnz,
+                          std::string_view(s.dataset), i);
+    };
+    std::vector<std::size_t> order(script.sessions.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return rank(a) < rank(b);
+    });
+    return order;
 }
 
 } // namespace sadapt::serve

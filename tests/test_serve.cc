@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "adapt/epoch_db.hh"
@@ -28,6 +30,7 @@
 #include "serve/server.hh"
 #include "serve/traffic.hh"
 #include "sim/config.hh"
+#include "sparse/suite.hh"
 #include "store/epoch_store.hh"
 
 using namespace sadapt;
@@ -158,6 +161,52 @@ TEST(TrafficScript, ParserRejectsMalformedScripts)
     for (const auto &[what, text] : cases) {
         std::istringstream in(text);
         EXPECT_FALSE(serve::parseTrafficScript(in).isOk()) << what;
+    }
+}
+
+/*
+ * Serve workers claim sessions in largestFirst() order: SpMSpM first,
+ * then by nonzero count, dataset id and session id. The order names
+ * the same sessions for any arrival order of them, including datasets
+ * of equal nonzero count (U1 and P1).
+ */
+TEST(TrafficScript, LargestFirstDependsOnTheSessionsNotTheirOrder)
+{
+    const serve::TrafficScript a = serve::makeTrafficScript(16, 7);
+    const std::vector<std::size_t> order = serve::largestFirst(a);
+    ASSERT_EQ(order.size(), a.sessions.size());
+    std::vector<std::size_t> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+        EXPECT_EQ(sorted[i], i);
+    const auto size = [&](std::size_t i) {
+        const serve::SessionSpec &s = a.sessions[i];
+        return std::pair(s.kernel == "spmspm", suiteEntry(s.dataset).nnz);
+    };
+    for (std::size_t k = 1; k < order.size(); ++k) {
+        const std::size_t prev = order[k - 1], cur = order[k];
+        EXPECT_GE(size(prev), size(cur)) << "position " << k;
+        if (size(prev) == size(cur)) {
+            EXPECT_LE(a.sessions[prev].dataset, a.sessions[cur].dataset)
+                << "position " << k;
+        }
+    }
+    EXPECT_EQ(a.sessions[order.front()].kernel, "spmspm");
+
+    // The same sessions arriving in reverse: the claim order names the
+    // same kernel and dataset at every position.
+    serve::TrafficScript b;
+    for (auto it = a.sessions.rbegin(); it != a.sessions.rend(); ++it) {
+        b.sessions.push_back(*it);
+        b.sessions.back().id = b.sessions.size() - 1;
+    }
+    const std::vector<std::size_t> reversed = serve::largestFirst(b);
+    ASSERT_EQ(reversed.size(), order.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        EXPECT_EQ(b.sessions[reversed[k]].kernel,
+                  a.sessions[order[k]].kernel);
+        EXPECT_EQ(b.sessions[reversed[k]].dataset,
+                  a.sessions[order[k]].dataset);
     }
 }
 
