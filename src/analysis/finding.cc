@@ -25,17 +25,8 @@ Finding::format() const
     std::string loc = file;
     if (line > 0)
         loc += str(":", line);
-    std::string text = str(loc, ": [", severityName(severity), "] ",
-                           checkId, ": ", message);
-    if (!chain.empty()) {
-        text += "; chain: ";
-        for (std::size_t i = 0; i < chain.size(); ++i) {
-            if (i > 0)
-                text += " -> ";
-            text += chain[i];
-        }
-    }
-    return text;
+    return str(loc, ": [", severityName(severity), "] ", checkId, ": ",
+               message);
 }
 
 std::string
@@ -52,7 +43,7 @@ Report::add(std::string check_id, std::string file, std::uint64_t line,
             Severity severity, std::string message)
 {
     add(Finding{std::move(check_id), std::move(file), line, severity,
-                std::move(message), {}});
+                std::move(message)});
 }
 
 std::size_t
@@ -179,13 +170,7 @@ Report::printJson(std::ostream &out) const
             << "\", \"file\": \"" << esc(f.file)
             << "\", \"line\": " << f.line << ", \"severity\": \""
             << severityName(f.severity) << "\", \"message\": \""
-            << esc(f.message) << "\", \"chain\": [";
-        for (std::size_t j = 0; j < f.chain.size(); ++j) {
-            if (j > 0)
-                out << ", ";
-            out << '"' << esc(f.chain[j]) << '"';
-        }
-        out << "]}";
+            << esc(f.message) << "\"}";
     }
     out << (findingsV.empty() ? "]\n" : "\n  ]\n") << "}\n";
 }

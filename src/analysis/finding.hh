@@ -45,15 +45,8 @@ struct Finding
     std::uint64_t line = 0; //!< 1-based; 0 when not line-addressable
     Severity severity = Severity::Error;
     std::string message;
-    /**
-     * Source→sink call chain for taint findings ("nowNs" →
-     * "recordEpoch" → "RunObserver::emit"); empty for plain lint
-     * findings. Not part of key(), so baselining a taint finding
-     * survives chain wording changes.
-     */
-    std::vector<std::string> chain;
 
-    /** "file:line: [severity] check-id: message[; chain: a -> b]". */
+    /** "file:line: [severity] check-id: message". */
     std::string format() const;
 
     /** The baseline key: "check-id file:line". */
@@ -117,7 +110,7 @@ class Report
 
     /**
      * Machine-readable dump: one JSON object with summary counts and
-     * a findings array (rule, file, line, severity, message, chain).
+     * a findings array (rule, file, line, severity, message).
      * Key order and formatting are fixed so output is byte-stable
      * and golden-file testable.
      */

@@ -1,11 +1,10 @@
 /**
  * @file
- * The shared C++ token lexer under the sadapt-check source analyses.
+ * The C++ token lexer under the sadapt-check source lint.
  *
- * Both the token lint (analysis/lint) and the symbol-aware
- * determinism analyzer (analysis/symbols, analysis/determinism_check)
- * consume this stream, so its behaviour is pinned by committed
- * adversarial fixtures (tests/data/analysis/lexer/): raw string
+ * The token lint (analysis/lint) consumes this stream, so its
+ * behaviour is pinned by committed adversarial fixtures
+ * (tests/data/analysis/lexer/): raw string
  * literals with encoding prefixes, digit separators, user-defined
  * literals, and backslash-newline line splices.
  *
@@ -52,8 +51,8 @@ struct Token
     /**
      * Line number after splice removal. Tokens of one (possibly
      * spliced) preprocessor directive share a logicalLine even when
-     * their `line` values differ — the symbol parser uses this to
-     * skip directives.
+     * their `line` values differ, so a consumer can tell a
+     * directive's tokens from code.
      */
     std::uint64_t logicalLine;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 
 #include "analysis/lexer.hh"
@@ -42,13 +44,119 @@ underDir(const std::string &rel_path, const std::string &dir)
         rel_path.find("/" + dir + "/") != std::string::npos;
 }
 
+/** The whole file at `path`, or nullopt when it cannot be opened. */
+std::optional<std::string>
+readText(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/**
+ * True when toks[i] is called as a free function: followed by '(',
+ * not a member call (x.f(), p->f()) and not a static of some class
+ * (C::f()); std:: and global :: qualification still count.
+ */
+bool
+isFreeCall(const std::vector<Token> &toks, std::size_t i)
+{
+    if (i + 1 >= toks.size() || toks[i + 1].text != "(")
+        return false;
+    if (i == 0)
+        return true;
+    const std::string &prev = toks[i - 1].text;
+    if (prev == "." || prev == "->")
+        return false;
+    return !(prev == "::" && i >= 2 &&
+             toks[i - 2].kind == Token::Kind::Ident &&
+             toks[i - 2].text != "std");
+}
+
+/**
+ * Add every name `toks` declares with an unordered container type:
+ * the identifier after `unordered_xxx<...>` and any const, &, && or
+ * *. Covers members, locals and parameters alike; type aliases and
+ * `auto` copies are not followed.
+ */
+void
+collectUnorderedNames(const std::vector<Token> &toks,
+                      std::set<std::string> &names)
+{
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        const std::string &t = toks[i].text;
+        if (toks[i].kind != Token::Kind::Ident ||
+            (t != "unordered_map" && t != "unordered_set" &&
+             t != "unordered_multimap" && t != "unordered_multiset") ||
+            toks[i + 1].text != "<")
+            continue;
+        std::size_t j = i + 1;
+        for (int depth = 0; j < toks.size(); ++j) {
+            const std::string &p = toks[j].text;
+            depth += p == "<" ? 1 : p == ">" ? -1 : p == ">>" ? -2 : 0;
+            if (depth <= 0)
+                break;
+        }
+        for (++j; j < toks.size() &&
+             (toks[j].text == "const" || toks[j].text == "&" ||
+              toks[j].text == "&&" || toks[j].text == "*");
+             ++j) {
+        }
+        if (j < toks.size() && toks[j].kind == Token::Kind::Ident)
+            names.insert(toks[j].text);
+    }
+}
+
+/**
+ * The name a range-for iterates when the loop opening at toks[i]
+ * ("for") is one and its range ends in an identifier (`cells`,
+ * `this->byName`); null otherwise.
+ */
+const Token *
+rangeForName(const std::vector<Token> &toks, std::size_t i)
+{
+    if (i + 1 >= toks.size() || toks[i + 1].text != "(")
+        return nullptr;
+    // The range-for colon sits directly inside the parentheses, with
+    // no ';' after it (a classic for's ?: puts one before its ';').
+    std::size_t colon = 0;
+    std::size_t depth = 0;
+    for (std::size_t j = i + 1; j < toks.size(); ++j) {
+        const std::string &p = toks[j].text;
+        if (p == "(" || p == "[" || p == "{") {
+            ++depth;
+        } else if (p == ")" || p == "]" || p == "}") {
+            if (--depth > 0)
+                continue;
+            const Token &last = toks[j - 1];
+            return colon != 0 && j - 1 != colon &&
+                    last.kind == Token::Kind::Ident
+                ? &last
+                : nullptr;
+        } else if (depth == 1 && p == ":" && colon == 0) {
+            colon = j;
+        } else if (depth == 1 && p == ";" && colon != 0) {
+            return nullptr;
+        }
+    }
+    return nullptr;
+}
+
 } // namespace
 
 Report
-lintSource(const std::string &source, const std::string &rel_path)
+lintSource(const std::string &source, const std::string &rel_path,
+           const std::string &header)
 {
     Report report;
     const std::vector<Token> toks = lex(source);
+    std::set<std::string> unordered_names;
+    collectUnorderedNames(toks, unordered_names);
+    if (!header.empty())
+        collectUnorderedNames(lex(header), unordered_names);
     const bool float_eq_scope =
         underDir(rel_path, "sim") || underDir(rel_path, "adapt");
     // common/threading.{hh,cc} is the one home allowed to touch raw
@@ -72,17 +180,7 @@ lintSource(const std::string &source, const std::string &rel_path)
         if (t.kind == Token::Kind::Ident &&
             (t.text == "rand" || t.text == "srand" ||
              t.text == "time")) {
-            const Token *next = tok(i + 1);
-            const Token *prev = i > 0 ? &toks[i - 1] : nullptr;
-            // Exclude member calls (x.time()) and class-qualified
-            // statics; std:: and global :: still count as banned.
-            bool member = prev != nullptr &&
-                (prev->text == "." || prev->text == "->");
-            if (prev != nullptr && prev->text == "::" && i >= 2 &&
-                toks[i - 2].kind == Token::Kind::Ident &&
-                toks[i - 2].text != "std")
-                member = true;
-            if (next && next->text == "(" && !member) {
+            if (isFreeCall(toks, i)) {
                 report.add(
                     "lint-banned-call", rel_path, t.line,
                     Severity::Error,
@@ -149,16 +247,7 @@ lintSource(const std::string &source, const std::string &rel_path)
              t.text == "execlp" || t.text == "execle" ||
              t.text == "kill" || t.text == "waitpid" ||
              t.text == "posix_spawn")) {
-            const Token *next = tok(i + 1);
-            const Token *prev = i > 0 ? &toks[i - 1] : nullptr;
-            // Member calls (task.kill()) and class-qualified statics
-            // are fine; bare and ::-qualified calls are not.
-            bool member = prev != nullptr &&
-                (prev->text == "." || prev->text == "->");
-            if (prev != nullptr && prev->text == "::" && i >= 2 &&
-                toks[i - 2].kind == Token::Kind::Ident)
-                member = true;
-            if (next && next->text == "(" && !member) {
+            if (isFreeCall(toks, i)) {
                 report.add(
                     "lint-process-control", rel_path, t.line,
                     Severity::Error,
@@ -176,22 +265,41 @@ lintSource(const std::string &source, const std::string &rel_path)
             (t.text == "mmap" || t.text == "munmap" ||
              t.text == "madvise" || t.text == "mremap" ||
              t.text == "pread" || t.text == "pwrite")) {
-            const Token *next = tok(i + 1);
-            const Token *prev = i > 0 ? &toks[i - 1] : nullptr;
-            // Member calls (m.mmap()) and class-qualified statics
-            // are fine; bare and ::-qualified calls are not.
-            bool member = prev != nullptr &&
-                (prev->text == "." || prev->text == "->");
-            if (prev != nullptr && prev->text == "::" && i >= 2 &&
-                toks[i - 2].kind == Token::Kind::Ident)
-                member = true;
-            if (next && next->text == "(" && !member) {
+            if (isFreeCall(toks, i)) {
                 report.add(
                     "lint-trace-raw-mmap", rel_path, t.line,
                     Severity::Error,
                     str("call to ", t.text, "(): no code maps files "
                         "or does raw-descriptor I/O; read the file "
                         "into a buffer instead"));
+            }
+        }
+
+        // lint-wallclock: host clocks, by type or by C call.
+        if (t.kind == Token::Kind::Ident &&
+            (t.text == "steady_clock" || t.text == "system_clock" ||
+             t.text == "high_resolution_clock" ||
+             ((t.text == "clock_gettime" || t.text == "gettimeofday") &&
+              isFreeCall(toks, i)))) {
+            report.add(
+                "lint-wallclock", rel_path, t.line, Severity::Error,
+                str(t.text, ": host time differs run to run; use the "
+                            "simulated clock, or take an injected "
+                            "clock as serve does (ServeOptions::nowNs)"));
+        }
+
+        // lint-unordered-iter: range-for over an unordered container
+        // this file or its header declares.
+        if (t.kind == Token::Kind::Ident && t.text == "for") {
+            const Token *name = rangeForName(toks, i);
+            if (name && unordered_names.contains(name->text)) {
+                report.add(
+                    "lint-unordered-iter", rel_path, t.line,
+                    Severity::Error,
+                    str("range-for over unordered container ",
+                        name->text, ": bucket order follows the "
+                        "insertion history; iterate an ordered "
+                        "container or a sorted copy"));
             }
         }
 
@@ -284,22 +392,29 @@ lintSource(const std::string &source, const std::string &rel_path)
 Report
 lintFile(const std::string &path, const std::string &root)
 {
-    std::ifstream in(path);
-    if (!in) {
+    const std::optional<std::string> source = readText(path);
+    if (!source) {
         Report report;
         report.add("lint-io", path, 0, Severity::Error,
                    "cannot open source file");
         return report;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    std::optional<std::string> header;
+    const std::filesystem::path p(path);
+    if (p.extension() == ".cc" || p.extension() == ".cpp") {
+        for (const char *ext : {".hh", ".h"}) {
+            header = readText(std::filesystem::path(p).replace_extension(ext));
+            if (header)
+                break;
+        }
+    }
     std::string rel = path;
     const std::string prefix = root.empty() || root == "."
         ? std::string()
         : (root.back() == '/' ? root : root + "/");
     if (!prefix.empty() && rel.rfind(prefix, 0) == 0)
         rel = rel.substr(prefix.size());
-    return lintSource(buf.str(), rel);
+    return lintSource(*source, rel, header.value_or(std::string()));
 }
 
 Report

@@ -2,10 +2,9 @@
  * @file
  * Token-based source lint for repo-specific C++ rules.
  *
- * The shared analysis lexer (analysis/lexer — no libclang dependency,
- * also the tokenizer behind the determinism analyzer's symbol parser)
- * strips comments and literals; the lint checks its token stream for
- * the repo's rules:
+ * The analysis lexer (analysis/lexer, no libclang dependency) strips
+ * comments and literals; the lint checks its token stream for the
+ * repo's rules:
  *
  *  - lint-banned-call: no rand()/srand()/time() in src/ — all
  *    randomness goes through common/rng (deterministic, seedable)
@@ -35,6 +34,21 @@
  *    anywhere — files are read through streams into owned memory, so
  *    every TraceView points into a Trace and no mapped bytes with a
  *    lifetime of their own exist.
+ *  - lint-unordered-iter: no range-for over a name that the file, or
+ *    its same-stem header, declares with an unordered_{map,set,
+ *    multimap,multiset} type. Bucket order follows the insertion
+ *    history, and jobs=N commits in request order, so no run-vs-run
+ *    test can see an artifact written in that order.
+ *  - lint-wallclock: no steady_clock/system_clock/
+ *    high_resolution_clock and no clock_gettime()/gettimeofday()
+ *    calls. A clock read that only steers control flow (a deadline)
+ *    passes every run-vs-run test on an idle host; time comes from
+ *    the simulated clock, and serve gets its clock injected
+ *    (ServeOptions::nowNs).
+ *
+ * The other nondeterminism classes (mutable globals, thread ids,
+ * pointer order, races) are left to the run-vs-run tests and TSan;
+ * DESIGN.md §7 maps each class to the check that catches it.
  *
  * Findings are keyed by file:line relative to the lint root, so the
  * baseline file stays stable across checkouts.
@@ -50,11 +64,18 @@
 
 namespace sadapt::analysis {
 
-/** Lint one source buffer; `rel_path` scopes path-dependent rules. */
-Report lintSource(const std::string &source,
-                  const std::string &rel_path);
+/**
+ * Lint one source buffer; `rel_path` scopes path-dependent rules.
+ * `header` is the text of the same-stem header, whose unordered
+ * container declarations count for lint-unordered-iter too.
+ */
+Report lintSource(const std::string &source, const std::string &rel_path,
+                  const std::string &header = {});
 
-/** Lint one file on disk, reported relative to `root`. */
+/**
+ * Lint one file on disk, reported relative to `root`. A .cc/.cpp
+ * file is linted together with its same-stem .hh/.h, if one exists.
+ */
 Report lintFile(const std::string &path, const std::string &root);
 
 /**

@@ -152,6 +152,38 @@ JournalWriter::write(JournalEvent ev)
     *outV << line;
 }
 
+Status
+JournalWriter::appendShard(std::string_view text)
+{
+    const std::string prefix =
+        str("{\"v\":", journalSchemaVersion, ",\"seq\":");
+    std::string out;
+    out.reserve(text.size());
+    std::uint64_t seq = seqV;
+    while (!text.empty()) {
+        const std::size_t eol = text.find('\n');
+        const std::string_view line = text.substr(0, eol);
+        std::size_t digits = prefix.size();
+        while (digits < line.size() &&
+               std::isdigit(static_cast<unsigned char>(line[digits])))
+            ++digits;
+        if (eol == std::string_view::npos ||
+            !line.starts_with(prefix) || digits == prefix.size() ||
+            digits == line.size() || line[digits] != ',')
+            return Status::error(
+                str("journal shard line lacks a newline or the ",
+                    prefix, "N, prefix: ", line));
+        out += prefix;
+        out += std::to_string(seq++);
+        out += line.substr(digits);
+        out += '\n';
+        text.remove_prefix(eol + 1);
+    }
+    *outV << out;
+    seqV = seq;
+    return Status::ok();
+}
+
 namespace {
 
 /**

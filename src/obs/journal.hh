@@ -109,6 +109,15 @@ class JournalWriter
     /** Append one event (ev.seq is overwritten with the next seq). */
     void write(JournalEvent ev);
 
+    /**
+     * Append another writer's output line by line, renumbering each
+     * `{"v":2,"seq":N,` prefix with this writer's next seq; the rest
+     * of every line is copied byte for byte. A line without that
+     * prefix, or without its newline, is an error that appends
+     * nothing.
+     */
+    [[nodiscard]] Status appendShard(std::string_view text);
+
     std::uint64_t eventsWritten() const { return seqV; }
 
   private:

@@ -27,8 +27,9 @@ namespace {
  * One tenant's isolated pipeline: workload, epoch database, cost
  * model, policy, journal shard and metric registry. Nothing in here
  * is shared with another session except the injected ServeOptions
- * handles (predictor, store) — which is exactly the boundary the
- * lint-serve-session-state rule enforces for this directory.
+ * handles (predictor, store); the serve run-vs-run tests (windows,
+ * worker counts, warm after kill -9) fail on any state that leaks
+ * from one session into another's artifacts.
  *
  * The database replays the workload's trace in place, each
  * configuration only up to the last epoch the session reads under it,
@@ -74,17 +75,16 @@ struct ServeSession
 /** What a served session leaves in its id's slot for the merge. */
 struct SessionShard
 {
-    Status status;                         //!< a bad shard fails the run
-    std::vector<obs::JournalEvent> events; //!< parsed journal shard
+    std::string journal; //!< the session's journal lines, seq from 0
     obs::MetricRegistry metrics;
-    std::vector<std::uint64_t> latencyNs;  //!< never merged or journaled
+    std::vector<std::uint64_t> latencyNs; //!< never merged or journaled
     std::uint64_t epochsReplayed = 0;
 };
 
 /**
  * Serve one session start to finish on the calling thread: open, one
  * fetch, stepEpoch() and decision per epoch, close. Writes only `row`
- * and `shard` (its journal shard parsed, ready for the merge).
+ * and `shard`.
  */
 void
 serveSession(const SessionSpec &spec, const ServeOptions &opt,
@@ -132,7 +132,7 @@ serveSession(const SessionSpec &spec, const ServeOptions &opt,
            .metricValue = ev.metric(opt.mode)};
 
     s->observer.flush();
-    std::istringstream journal(std::move(s->journalBuf).str());
+    shard.journal = std::move(s->journalBuf).str();
     obs::MetricRegistry metrics;
     metrics.merge(s->observer.metrics());
     shard.epochsReplayed = s->db.epochsReplayed();
@@ -141,10 +141,6 @@ serveSession(const SessionSpec &spec, const ServeOptions &opt,
     s.reset();
     shard.latencyNs = latencyNs;
     shard.metrics.merge(metrics);
-    Result<obs::JournalRead> read = obs::readJournal(journal);
-    shard.status = read.status();
-    if (read.isOk())
-        shard.events = std::move(read.value().events);
 }
 
 /**
@@ -242,16 +238,16 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     std::vector<std::uint64_t> latencyNs;
     obs::MetricRegistry &metrics = server.metrics();
     for (std::size_t i = 0; i < n; ++i) {
-        if (!shards[i].status.isOk())
+        const Status appended =
+            server.journal()->appendShard(shards[i].journal);
+        if (!appended.isOk())
             return Status::error("runServe: bad journal shard: " +
-                                 shards[i].status.message());
+                                 appended.message());
         const std::size_t epochs = out.outcomes[i].epochs;
         metrics.counter("serve/sessions_opened").add();
         metrics.counter("serve/decisions").add(epochs);
         metrics.counter("serve/epochs_served").add(epochs);
         metrics.counter("serve/sessions_closed").add();
-        for (obs::JournalEvent &ev : shards[i].events)
-            server.journal()->write(std::move(ev));
         metrics.merge(shards[i].metrics);
         out.decisions += epochs;
         out.epochsServed += epochs;

@@ -52,7 +52,8 @@ namespace sadapt::serve {
 /**
  * Server configuration. Sessions may share state only via the handles
  * injected here (the predictor, the epoch store, the clock); the
- * lint-serve-session-state rule holds the serve layer to that.
+ * serve run-vs-run tests (ServeParallel.*, Serve.*AcrossWindows,
+ * ServeCrash.*, serve_cli_selfcheck) hold the serve layer to that.
  */
 struct ServeOptions
 {

@@ -1,6 +1,7 @@
-// Seeded fixture: iterating an unordered_map and writing each entry
-// to the epoch store in hash order. Key insertion order into the
-// store's record log then depends on the hash seed / load factor.
+// Lint fixture (lint-unordered-iter, local shape): iterating an
+// unordered_map parameter and writing each entry to the epoch store
+// in hash order. The store's record order then follows the map's
+// insertion history, which no run-vs-run test can see. Never compiled.
 #include <cstdint>
 #include <string>
 #include <unordered_map>

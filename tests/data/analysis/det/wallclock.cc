@@ -1,6 +1,7 @@
-// Seeded fixture: a wall-clock read reaching epoch telemetry through
-// a helper, so the finding must carry the multi-hop source->sink
-// chain nowNs -> recordEpoch -> RunObserver::emit.
+// Lint fixture (lint-wallclock): a host-clock deadline that only
+// steers control flow. On an idle host every run-vs-run test passes;
+// under load the loop stops early and the journal loses epochs.
+// Never compiled.
 #include <chrono>
 #include <cstdint>
 
@@ -11,18 +12,16 @@ struct Obs
     void emit(const char *name, double value);
 };
 
-std::uint64_t
-nowNs()
-{
-    const auto t = std::chrono::steady_clock::now();
-    return static_cast<std::uint64_t>(
-        t.time_since_epoch().count());
-}
-
 void
-recordEpoch(Obs &obs)
+recordEpochs(Obs &obs, std::uint64_t epochs)
 {
-    obs.emit("epoch.stamp", static_cast<double>(nowNs()));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    for (std::uint64_t e = 0; e < epochs; ++e) {
+        if (std::chrono::steady_clock::now() > deadline)
+            break;
+        obs.emit("epoch", static_cast<double>(e));
+    }
 }
 
 } // namespace fix

@@ -100,9 +100,9 @@ TEST(Lexer, UdlFixtureTokenStream)
 TEST(Lexer, SplicedDirectiveSharesLogicalLine)
 {
     const auto toks = lex("#define M(a) \\\n    (a + 1)\nint x;\n");
-    // All directive tokens share one logical line (so the symbol
-    // parser can skip the whole directive) while keeping original
-    // physical lines for findings.
+    // All directive tokens share one logical line (so a consumer can
+    // skip the whole directive) while keeping original physical lines
+    // for findings.
     ASSERT_GE(toks.size(), 4u);
     EXPECT_EQ(toks[0].text, "#");
     const std::uint64_t dirLogical = toks[0].logicalLine;

@@ -1,11 +1,15 @@
 /**
  * @file
  * Source-lint tests: each token rule fires on its target pattern,
- * stays quiet on the idiomatic alternative, and baseline suppression
- * hides accepted findings.
+ * stays quiet on the idiomatic alternative, baseline suppression
+ * hides accepted findings (and reports stale entries), and the JSON
+ * output is byte-stable against a committed golden file.
  */
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 #include "analysis/lint.hh"
 
@@ -272,4 +276,155 @@ TEST(Lint, LexerSkipsRawStringsAndKeepsLineNumbers)
         "src/sim/x.cc");
     ASSERT_EQ(r.errorCount(), 1u);
     EXPECT_EQ(r.findings()[0].line, 3u);
+}
+
+namespace {
+
+std::string
+detFixture(const std::string &name)
+{
+    return std::string(SADAPT_TEST_DATA_DIR) + "/analysis/det/" + name;
+}
+
+std::vector<std::uint64_t>
+linesOf(const Report &r, const std::string &check_id)
+{
+    std::vector<std::uint64_t> lines;
+    for (const auto &f : r.findings())
+        if (f.checkId == check_id)
+            lines.push_back(f.line);
+    return lines;
+}
+
+} // namespace
+
+TEST(Lint, UnorderedIterOverMemberDeclaredInHeader)
+{
+    // The .cc iterates a member that only its same-stem header
+    // declares unordered; lintFile reads the header for it.
+    const Report r = lintFile(detFixture("unordered_member.cc"),
+                              std::string(SADAPT_TEST_DATA_DIR) +
+                                  "/analysis");
+    EXPECT_EQ(linesOf(r, "lint-unordered-iter"),
+              std::vector<std::uint64_t>{13});
+    EXPECT_EQ(r.findings().at(0).file, "det/unordered_member.cc");
+    // Without the header, the .cc alone declares nothing unordered.
+    EXPECT_FALSE(hasCheck(
+        lintSource("void R::f() { for (auto &kv : byName) use(kv); }\n",
+                   "src/obs/metrics.cc"),
+        "lint-unordered-iter"));
+    EXPECT_TRUE(hasCheck(
+        lintSource("void R::f() { for (auto &kv : byName) use(kv); }\n",
+                   "src/obs/metrics.cc",
+                   "std::unordered_map<std::string, Entry *> byName;\n"),
+        "lint-unordered-iter"));
+}
+
+TEST(Lint, UnorderedIterOverLocalAndParameter)
+{
+    EXPECT_EQ(linesOf(lintFile(detFixture("unordered_iter.cc"),
+                               SADAPT_TEST_DATA_DIR),
+                      "lint-unordered-iter"),
+              std::vector<std::uint64_t>{20});
+    const Report r = lintSource(
+        "void f(Journal &j)\n"
+        "{\n"
+        "    std::unordered_map<int, std::vector<int>> bySession;\n"
+        "    const std::unordered_set<int> *seen = nullptr;\n"
+        "    for (const auto &[id, evs] : bySession)\n"
+        "        j.write(id);\n"
+        "    for (int id : *seen)\n"
+        "        j.write(id);\n"
+        "    for (auto &kv : this->bySession) {}\n"
+        "}\n",
+        "src/serve/server.cc");
+    EXPECT_EQ(linesOf(r, "lint-unordered-iter"),
+              (std::vector<std::uint64_t>{5, 7, 9}));
+}
+
+TEST(Lint, UnorderedIterNegatives)
+{
+    // Ordered iteration, lookups into an unordered container and a
+    // classic index loop all keep a deterministic order.
+    const Report r = lintSource(
+        "void f(const std::map<std::string, int> &byName,\n"
+        "       const std::unordered_set<std::uint64_t> &seen,\n"
+        "       std::vector<int> &out)\n"
+        "{\n"
+        "    for (const auto &[name, v] : byName)\n"
+        "        out.push_back(v);\n"
+        "    if (seen.find(3) != seen.end() || seen.contains(4))\n"
+        "        return;\n"
+        "    for (std::size_t i = 0; i < out.size(); ++i)\n"
+        "        out[i] = seen.contains(i) ? 1 : 0;\n"
+        "    for (int i = seen.empty() ? 1 : 0; i < 3; ++i)\n"
+        "        out.push_back(i);\n"
+        "}\n",
+        "src/sim/x.cc");
+    EXPECT_FALSE(hasCheck(r, "lint-unordered-iter"));
+    EXPECT_TRUE(r.clean());
+}
+
+TEST(Lint, WallclockFlagged)
+{
+    EXPECT_EQ(linesOf(lintFile(detFixture("wallclock.cc"),
+                               SADAPT_TEST_DATA_DIR),
+                      "lint-wallclock"),
+              (std::vector<std::uint64_t>{19, 21}));
+    const Report r = lintSource(
+        "auto a = std::chrono::system_clock::now();\n"
+        "using Clock = std::chrono::high_resolution_clock;\n"
+        "clock_gettime(CLOCK_MONOTONIC, &ts);\n"
+        "::gettimeofday(&tv, nullptr);\n",
+        "src/serve/server.cc");
+    EXPECT_EQ(linesOf(r, "lint-wallclock"),
+              (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    // The injected serve clock, member calls and comments are not
+    // host clock reads.
+    EXPECT_FALSE(hasCheck(
+        lintSource("const auto t0 = opt.nowNs ? opt.nowNs() : 0;\n"
+                   "timer.clock_gettime();\n"
+                   "// std::chrono::steady_clock is thread-safe\n",
+                   "src/serve/server.cc"),
+        "lint-wallclock"));
+}
+
+TEST(Lint, StaleBaselineEntriesReported)
+{
+    Report r;
+    r.add("lint-wallclock", "src/x.cc", 10, Severity::Error, "m");
+    const std::vector<BaselineEntry> entries = {
+        {"lint-wallclock src/x.cc:10", 3},
+        {"lint-unordered-iter src/gone.cc:7", 9},
+    };
+    const std::vector<BaselineEntry> stale = r.applyBaseline(entries);
+    EXPECT_TRUE(r.clean());
+    EXPECT_EQ(r.suppressedCount(), 1u);
+    ASSERT_EQ(stale.size(), 1u);
+    EXPECT_EQ(stale[0].key, "lint-unordered-iter src/gone.cc:7");
+    EXPECT_EQ(stale[0].line, 9u);
+}
+
+TEST(Lint, JsonOutputMatchesGoldenFile)
+{
+    Report r = lintFile(detFixture("wallclock.cc"),
+                        std::string(SADAPT_TEST_DATA_DIR) + "/analysis");
+    std::ostringstream json;
+    r.printJson(json);
+
+    std::ifstream gf(detFixture("wallclock_findings.golden.json"));
+    ASSERT_TRUE(gf);
+    std::ostringstream golden;
+    golden << gf.rdbuf();
+    EXPECT_EQ(json.str(), golden.str());
+}
+
+TEST(Lint, JsonEscapesSpecialCharacters)
+{
+    Report r;
+    r.add("x", "a\"b\\c.cc", 1, Severity::Warning, "tab\there");
+    std::ostringstream os;
+    r.printJson(os);
+    EXPECT_NE(os.str().find("a\\\"b\\\\c.cc"), std::string::npos);
+    EXPECT_NE(os.str().find("tab\\there"), std::string::npos);
 }

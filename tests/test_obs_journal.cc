@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/journal.hh"
 #include "obs/observer.hh"
@@ -47,6 +48,49 @@ TEST(Journal, WriterStampsVersionAndSequence)
     EXPECT_NE(text.find("\"seq\":1"), std::string::npos);
     // One JSON object per line, newline-terminated.
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+}
+
+TEST(Journal, AppendShardRestampsLikeWrite)
+{
+    // A shard's lines appended after a run event must be the bytes a
+    // single writer of all the events would have produced.
+    std::vector<JournalEvent> events;
+    for (std::uint64_t e = 0; e < 12; ++e) {
+        JournalEvent ev = makeEvent(e, 0.25 * e, "session");
+        ev.fields.emplace_back("op", std::string("de\"cision"));
+        ev.fields.emplace_back("cfg", std::string("seq\":7,"));
+        events.push_back(ev);
+    }
+    std::ostringstream shardOut, mergedOut, expectOut;
+    JournalWriter shard(shardOut), merged(mergedOut), expect(expectOut);
+    merged.write(makeEvent(0, 0.0, "run"));
+    expect.write(makeEvent(0, 0.0, "run"));
+    for (const JournalEvent &ev : events) {
+        shard.write(ev);
+        expect.write(ev);
+    }
+    ASSERT_TRUE(merged.appendShard(shardOut.str()).isOk());
+    EXPECT_EQ(merged.eventsWritten(), 13u);
+    EXPECT_EQ(mergedOut.str(), expectOut.str());
+    EXPECT_TRUE(merged.appendShard("").isOk());
+    EXPECT_EQ(merged.eventsWritten(), 13u);
+}
+
+TEST(Journal, AppendShardRejectsLinesWithoutTheEnvelopePrefix)
+{
+    for (const char *bad :
+         {"{\"v\":2,\"seq\":0,\"epoch\":0}\n{\"seq\":1,\"v\":2}\n",
+          "{\"v\":1,\"seq\":0,\"epoch\":0}\n",
+          "{\"v\":2,\"seq\":,\"epoch\":0}\n",
+          "{\"v\":2,\"seq\":4}\n",
+          "{\"v\":2,\"seq\":0,\"epoch\":0}"}) {
+        std::ostringstream out;
+        JournalWriter w(out);
+        EXPECT_FALSE(w.appendShard(bad).isOk()) << bad;
+        // A bad shard appends nothing and consumes no seq.
+        EXPECT_EQ(out.str(), "") << bad;
+        EXPECT_EQ(w.eventsWritten(), 0u) << bad;
+    }
 }
 
 TEST(Journal, RoundTripsEveryFieldType)

@@ -18,9 +18,9 @@ cmake -B "$build_dir" -S "$repo_root" \
     -DSADAPT_SANITIZE=address,undefined -DSADAPT_WERROR=ON > /dev/null
 
 echo "== build (ASan+UBSan)"
-cmake --build "$build_dir" -j > /dev/null
+cmake --build "$build_dir" -j "$(nproc)" > /dev/null
 
-echo "== sadapt_check: sources (lint + determinism), models, traces, specs, journals, stores"
+echo "== sadapt_check: sources (lint), models, traces, specs, journals, stores"
 "$build_dir/tools/sadapt_check" all \
     --root "$repo_root" \
     --src "$repo_root/src" \
@@ -31,8 +31,8 @@ echo "== sadapt_check: sources (lint + determinism), models, traces, specs, jour
     --store "$repo_root/tests/data/analysis/good.store" \
     --baseline "$repo_root/tools/sadapt_check.baseline"
 
-# The analysis suite (including the determinism analyzer's own
-# tests) and the obs suite run under the ASan+UBSan build above.
+# The analysis suite (including the lint rules' own tests) and the
+# obs suite run under the ASan+UBSan build above.
 echo "== ctest -L analysis|obs (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L 'analysis|obs' --output-on-failure \
     -j "$(nproc)"
@@ -98,7 +98,7 @@ if [[ "${SADAPT_BENCH_TREND:-0}" != "0" ]]; then
     echo "== configure ($bench_dir: plain flags for timing)"
     cmake -B "$bench_dir" -S "$repo_root" > /dev/null
     echo "== build replay_speed + serve_traffic + bench_trend"
-    cmake --build "$bench_dir" -j \
+    cmake --build "$bench_dir" -j "$(nproc)" \
         --target replay_speed serve_traffic bench_trend > /dev/null
     trend_dir="$bench_dir/bench-trend"
     rm -rf "$trend_dir"
@@ -134,7 +134,7 @@ cmake -B "$tsan_dir" -S "$repo_root" \
     -DSADAPT_SANITIZE=thread -DSADAPT_WERROR=ON > /dev/null
 
 echo "== build sadapt_parallel_tests + sadapt_store_tests (TSan)"
-cmake --build "$tsan_dir" -j \
+cmake --build "$tsan_dir" -j "$(nproc)" \
     --target sadapt_parallel_tests sadapt_store_tests > /dev/null
 
 echo "== ctest -L threading|store (TSan)"

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/determinism_check.hh"
 #include "analysis/finding.hh"
 #include "analysis/journal_check.hh"
 #include "analysis/lint.hh"
@@ -53,8 +52,6 @@ usage()
         "  store <file>...    validate persistent epoch-store files\n"
         "  config-space       self-check the config space encoding\n"
         "  lint <path>...     lint .cc/.hh files or directories\n"
-        "  determinism <dir>...\n"
-        "                     cross-TU nondeterminism taint analysis\n"
         "  all                run everything (see options)\n"
         "\n"
         "options:\n"
@@ -188,15 +185,9 @@ main(int argc, char **argv)
         if (o.args.empty())
             usage();
         report.merge(runLint(o, o.args));
-    } else if (o.subcommand == "determinism") {
-        if (o.args.empty())
-            usage();
-        report.merge(checkDeterminismTree(o.args, o.root));
     } else if (o.subcommand == "all") {
         report.merge(checkConfigSpaceInvariants());
         report.merge(runLint(o, o.srcDirs));
-        if (!o.srcDirs.empty())
-            report.merge(checkDeterminismTree(o.srcDirs, o.root));
         for (const auto &f : o.models)
             report.merge(checkModelFile(f));
         for (const auto &f : o.traces)
