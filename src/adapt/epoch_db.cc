@@ -12,8 +12,8 @@
 
 namespace sadapt {
 
-EpochDb::EpochDb(const Workload &workload, std::size_t epoch_budget)
-    : wl(workload), budgetV(epoch_budget), sim(workload.params)
+EpochDb::EpochDb(const Workload &workload)
+    : wl(workload), sim(workload.params)
 {
 }
 
@@ -37,7 +37,7 @@ std::size_t
 EpochDb::epochTotal()
 {
     if (countV == 0)
-        countV = sim.epochCount(wl.trace, budgetV);
+        countV = sim.epochCount(wl.trace, 0);
     return countV;
 }
 
@@ -66,23 +66,15 @@ EpochDb::attachStore(store::EpochStore *epoch_store)
     SADAPT_ASSERT(epoch_store == nullptr || partialV == 0,
                   "attach a store before any partial read");
     storeV = epoch_store;
-    fingerprintV = 0;
-    if (epoch_store == nullptr)
-        return;
-    fingerprintV =
-        store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
-    if (budgetV > 0)
-        fingerprintV = store::Fnv1a()
-                           .u64(fingerprintV)
-                           .str("epoch_budget")
-                           .u64(budgetV)
-                           .value();
+    fingerprintV = epoch_store != nullptr
+        ? store::workloadFingerprint(wl.trace, wl.params, wl.l1Type)
+        : 0;
 }
 
 EpochDb::Entry &
 EpochDb::simulateAndCommit(std::uint64_t key, const HwConfig &cfg)
 {
-    SimResult res = sim.run(wl.trace, cfg, budgetV);
+    SimResult res = sim.run(wl.trace, cfg);
     replayedV += res.epochs.size();
     if (storeV != nullptr)
         storeV->put(fingerprintV, cfg, res);
@@ -247,7 +239,7 @@ EpochDb::ensure(std::span<const HwConfig> cfgs)
         Transmuter task_sim(wl.params);
         if (metricsV != nullptr)
             task_sim.setMetrics(&shards[i]);
-        results[i] = task_sim.run(wl.trace, p.cfg, budgetV);
+        results[i] = task_sim.run(wl.trace, p.cfg);
     });
 
     // Barrier passed: commit store hits and fresh replays interleaved

@@ -10,12 +10,7 @@
  * evaluated exactly by stitching per-epoch segments together and
  * charging reconfiguration penalties at the seams.
  *
- * A database may carry an epoch budget: every replay then stops after
- * that many epochs, for callers (serve sessions) that can never
- * consume more. The records kept are a bit-exact prefix of the full
- * run's (Transmuter::run's max_epochs).
- *
- * An entry may also be partial: epoch(cfg, e) resumes the
+ * An entry may be partial: epoch(cfg, e) resumes the
  * configuration's suspended Replay only up to record e, so a caller
  * that reads epoch by epoch (a serve session) never replays the
  * epochs after the last one it reads. result(), epochs() and ensure()
@@ -50,8 +45,8 @@ namespace sadapt {
 
 /**
  * Lazily memoized simulations of one workload, one per hardware
- * configuration: full runs, budget-long prefixes of them, or the
- * records read so far plus the suspended replay that continues them.
+ * configuration: full runs, or the records read so far plus the
+ * suspended replay that continues them.
  */
 class EpochDb
 {
@@ -59,12 +54,8 @@ class EpochDb
     /**
      * @param workload the workload to replay (must outlive the
      *        database).
-     * @param epoch_budget replay at most this many epochs per
-     *        configuration; 0 replays the whole trace. Fixed for the
-     *        database's life, so one cache never mixes lengths.
      */
-    explicit EpochDb(const Workload &workload,
-                     std::size_t epoch_budget = 0);
+    explicit EpochDb(const Workload &workload);
 
     /**
      * Replay parallelism for ensure(): jobs <= 1 is the exact serial
@@ -86,10 +77,7 @@ class EpochDb
      */
     void ensure(std::span<const HwConfig> cfgs);
 
-    /**
-     * Simulation result under one configuration (memoized): the whole
-     * run, or its first epochBudget() epochs.
-     */
+    /** Whole-run simulation result under one configuration (memoized). */
     const SimResult &result(const HwConfig &cfg);
 
     /** Per-epoch records under one configuration. */
@@ -106,16 +94,12 @@ class EpochDb
 
     /**
      * Number of epochs recorded per configuration (identical for
-     * every configuration): min(epochBudget(), N) for a trace of N
-     * epochs, or N without a budget. Counted from the trace
+     * every configuration). Counted from the trace
      * (Transmuter::epochCount), not replayed; with a store or
      * metrics attached, the first call on an empty database still
      * replays the baseline, as those artifacts record it.
      */
     std::size_t numEpochs();
-
-    /** The replay epoch budget; 0 = whole trace. */
-    std::size_t epochBudget() const { return budgetV; }
 
     /** Number of configurations simulated so far, wholly or partly. */
     std::size_t simulatedConfigs() const { return cache.size(); }
@@ -151,12 +135,9 @@ class EpochDb
     store::EpochStore *epochStore() const { return storeV; }
 
     /**
-     * The workload fingerprint used to address the attached store;
-     * 0 until a store is attached. A nonzero epoch budget is folded
-     * in, since the store keys a result only by (fingerprint,
-     * encode()): a truncated result must never be served to a
-     * full-trace database, or the reverse. Without a budget it is
-     * exactly store::workloadFingerprint of the trace.
+     * The workload fingerprint used to address the attached store
+     * (store::workloadFingerprint of the trace); 0 until a store is
+     * attached.
      */
     std::uint64_t storeFingerprint() const { return fingerprintV; }
 
@@ -185,7 +166,6 @@ class EpochDb
     };
 
     const Workload &wl;
-    std::size_t budgetV = 0;
     Transmuter sim;
     unsigned jobsV = 1;
     obs::MetricRegistry *metricsV = nullptr;

@@ -51,13 +51,10 @@ lex(const std::string &src)
     // lines.
     std::string cooked;
     std::vector<std::uint64_t> lineOf;
-    std::vector<std::uint64_t> logLineOf;
     cooked.reserve(src.size());
     lineOf.reserve(src.size());
-    logLineOf.reserve(src.size());
     {
         std::uint64_t line = 1;
-        std::uint64_t logLine = 1;
         std::size_t i = 0;
         while (i < src.size()) {
             if (src[i] == '\\' && i + 1 < src.size() &&
@@ -74,11 +71,8 @@ lex(const std::string &src)
             }
             cooked.push_back(src[i]);
             lineOf.push_back(line);
-            logLineOf.push_back(logLine);
-            if (src[i] == '\n') {
+            if (src[i] == '\n')
                 ++line;
-                ++logLine;
-            }
             ++i;
         }
     }
@@ -166,8 +160,7 @@ lex(const std::string &src)
                 skipQuoted(cooked[j]);
                 continue;
             }
-            out.push_back(
-                {Token::Kind::Ident, text, line, logLineOf[i]});
+            out.push_back({Token::Kind::Ident, text, line});
             i = j;
             continue;
         }
@@ -185,20 +178,19 @@ lex(const std::string &src)
                      (cooked[j - 1] == 'e' || cooked[j - 1] == 'E' ||
                       cooked[j - 1] == 'p' || cooked[j - 1] == 'P'))))
                 ++j;
-            out.push_back(
-                {Token::Kind::Number, cooked.substr(i, j - i),
-                 lineOf[i], logLineOf[i]});
+            out.push_back({Token::Kind::Number, cooked.substr(i, j - i),
+                           lineOf[i]});
             i = j;
             continue;
         }
         if (i + 1 < n && isPunctPair(c, cooked[i + 1])) {
-            out.push_back({Token::Kind::Punct, cooked.substr(i, 2),
-                           lineOf[i], logLineOf[i]});
+            out.push_back(
+                {Token::Kind::Punct, cooked.substr(i, 2), lineOf[i]});
             i += 2;
             continue;
         }
-        out.push_back({Token::Kind::Punct, std::string(1, c),
-                       lineOf[i], logLineOf[i]});
+        out.push_back(
+            {Token::Kind::Punct, std::string(1, c), lineOf[i]});
         ++i;
     }
     return out;

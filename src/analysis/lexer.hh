@@ -48,13 +48,6 @@ struct Token
     Kind kind;
     std::string text;
     std::uint64_t line;
-    /**
-     * Line number after splice removal. Tokens of one (possibly
-     * spliced) preprocessor directive share a logicalLine even when
-     * their `line` values differ, so a consumer can tell a
-     * directive's tokens from code.
-     */
-    std::uint64_t logicalLine;
 };
 
 /**

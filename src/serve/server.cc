@@ -27,13 +27,13 @@ namespace {
  * One tenant's isolated pipeline: workload, epoch database, cost
  * model, policy, journal shard and metric registry. Nothing in here
  * is shared with another session except the injected ServeOptions
- * handles (predictor, store); the serve run-vs-run tests (windows,
- * worker counts, warm after kill -9) fail on any state that leaks
- * from one session into another's artifacts.
+ * handles (predictor, clock); the serve run-vs-run tests (windows,
+ * worker counts) fail on any state that leaks from one session into
+ * another's artifacts.
  *
  * The database replays the workload's trace in place, each
- * configuration only up to the last epoch the session reads under it,
- * and never past spec.maxEpochs, the most the session can serve.
+ * configuration only up to the last epoch the session reads under it;
+ * the session reads no further than spec.maxEpochs.
  */
 struct ServeSession
 {
@@ -52,7 +52,7 @@ struct ServeSession
     ServeSession(const SessionSpec &sp, const ServeOptions &opt)
         : spec(sp),
           workload(buildSessionWorkload(sp, opt.scale)),
-          db(workload, sp.maxEpochs),
+          db(workload),
           cost(workload.params),
           initial(baselineConfig(workload.l1Type)),
           policy(opt.policy, opt.tolerance),
@@ -66,8 +66,6 @@ struct ServeSession
         // right after construction, so it is the first line.
         observer.attachJournal(journalBuf);
         db.setJobs(1);
-        if (opt.store != nullptr)
-            db.attachStore(opt.store);
         state.schedule.configs.reserve(epochsTotal);
     }
 };
@@ -208,14 +206,10 @@ runServe(const TrafficScript &script, const ServeOptions &opt)
     ServeResult out;
     out.outcomes.resize(n);
 
-    // EpochStore is not thread-safe: with a store the run is serial,
-    // in id order. More workers claim the largest sessions first.
     std::vector<SessionShard> shards(n);
-    const std::size_t workers = opt.store != nullptr
-        ? 1 : std::min<std::size_t>(opt.jobs, window != 0 ? window : n);
-    std::vector<std::size_t> order = largestFirst(script);
-    if (workers <= 1)
-        std::sort(order.begin(), order.end());
+    const std::size_t workers =
+        std::min<std::size_t>(opt.jobs, window != 0 ? window : n);
+    const std::vector<std::size_t> order = largestFirst(script);
     parallelFor(n, static_cast<unsigned>(workers), [&](std::size_t k) {
         const std::size_t i = order[k];
         serveSession(script.sessions[i], opt, out.outcomes[i], shards[i]);

@@ -9,9 +9,9 @@
  * SparseAdapt loop (stepEpoch(): telemetry -> prediction -> policy ->
  * reconfig) and answer with its next configuration, then close. There
  * are min(jobs, window) workers (window 0: one per session), so the
- * window bounds how many sessions are open at once. Several workers
- * claim sessions largest first (largestFirst()), so the wall time of
- * a script does not depend on the order its sessions arrive in. The
+ * window bounds how many sessions are open at once. Workers claim
+ * sessions largest first (largestFirst()), so the wall time of a
+ * script does not depend on the order its sessions arrive in. The
  * scheduling ticks are derived afterwards from arrival ticks and epoch
  * counts: sessions are admitted in id order, at or after arrival,
  * while the window has room, and served one epoch per tick.
@@ -27,10 +27,10 @@
  * only and never enter the merged journal or registry.
  *
  * Admitting a session replays nothing: its epoch count comes from the
- * trace (Transmuter::epochCount). Its epoch database replays each
+ * trace and its epoch budget (Transmuter::epochCount with
+ * SessionSpec::maxEpochs). Its epoch database replays each
  * configuration only up to the last epoch the session reads under it,
- * never past the session's epoch budget (SessionSpec::maxEpochs), and
- * a session's workload and database are released as soon as it
+ * and a session's workload and database are released as soon as it
  * closes.
  */
 
@@ -45,15 +45,14 @@
 #include "adapt/policy.hh"
 #include "adapt/predictor.hh"
 #include "serve/traffic.hh"
-#include "store/epoch_store.hh"
 
 namespace sadapt::serve {
 
 /**
  * Server configuration. Sessions may share state only via the handles
- * injected here (the predictor, the epoch store, the clock); the
- * serve run-vs-run tests (ServeParallel.*, Serve.*AcrossWindows,
- * ServeCrash.*, serve_cli_selfcheck) hold the serve layer to that.
+ * injected here (the predictor, the clock); the serve run-vs-run tests
+ * (ServeParallel.*, Serve.*AcrossWindows, serve_cli_selfcheck) hold
+ * the serve layer to that.
  */
 struct ServeOptions
 {
@@ -63,8 +62,7 @@ struct ServeOptions
     /**
      * Worker threads that serve sessions, each one session start to
      * finish; runServe() uses min(jobs, window), where window 0 means
-     * the session count. 1 (or a store) is the exact serial path, in
-     * session id order; more workers claim the largest sessions first.
+     * the session count. Workers claim the largest sessions first.
      * Never changes the merged artifacts or ticks.
      */
     unsigned jobs = 1;
@@ -78,17 +76,6 @@ struct ServeOptions
     PolicyKind policy = PolicyKind::Hybrid;
     double tolerance = 0.4; //!< Hybrid policy tolerance
     OptMode mode = OptMode::EnergyEfficient;
-
-    /**
-     * Optional shared epoch store: sessions warm-start from (and
-     * checkpoint into) it under their workload fingerprints.
-     * EpochStore is not thread-safe, so attaching one makes the run
-     * serial, in session id order, whatever `jobs` says. Run
-     * EpochStore::compact() afterwards to get the canonical sorted
-     * form that is byte-identical across any --sessions window (the
-     * CLI and the serving tests do).
-     */
-    store::EpochStore *store = nullptr;
 
     /**
      * Monotonic wall-clock in nanoseconds for decision-latency
@@ -129,9 +116,9 @@ struct ServeResult
     std::uint64_t decisions = 0;    //!< reconfiguration answers issued
 
     /**
-     * Epoch records replayed across every session's database, store
-     * hits excluded: the replay work behind epochsServed. Reported
-     * here only, never journaled, like the tick count.
+     * Epoch records replayed across every session's database: the
+     * replay work behind epochsServed. Reported here only, never
+     * journaled, like the tick count.
      */
     std::uint64_t epochsReplayed = 0;
 

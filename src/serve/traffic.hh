@@ -76,10 +76,10 @@ Workload buildSessionWorkload(const SessionSpec &spec, double scale,
  * SpMSpM before SpMSpV (an SpMSpM trace is two orders of magnitude
  * longer per nonzero), then by the dataset's nonzero count, dataset
  * id and session id. It depends on which sessions a script holds, not
- * on the order
- * they arrive in, so serve workers that claim sessions in this order
- * take the same wall time for any shuffle of the same sessions. Every
- * dataset must be a suite id (runServe() checks that first).
+ * on the order they arrive in, so serve workers that claim sessions in
+ * this order take the same wall time for any shuffle of the same
+ * sessions. Every dataset must be a suite id (runServe() checks that
+ * first).
  */
 std::vector<std::size_t> largestFirst(const TrafficScript &script);
 

@@ -897,12 +897,11 @@ Transmuter::epochCount(const Trace &trace, std::size_t budget) const
 }
 
 SimResult
-Transmuter::run(const Trace &trace, const HwConfig &cfg,
-                std::size_t max_epochs) const
+Transmuter::run(const Trace &trace, const HwConfig &cfg) const
 {
     SimResult result;
     result.config = cfg;
-    const std::size_t n = epochCount(trace, max_epochs);
+    const std::size_t n = epochCount(trace, 0);
     result.epochs.reserve(n);
     Replay replay(*this, trace, cfg);
     while (result.epochs.size() < n) {

@@ -129,16 +129,8 @@ class Transmuter
      *
      * @param trace functional trace (shape must match RunParams).
      * @param cfg the hardware configuration to model.
-     * @param max_epochs stop right after closing epoch
-     *        `max_epochs - 1`; 0 replays the whole trace. A record
-     *        depends only on the ops executed before it closes, so
-     *        the result is bit-identical to the first
-     *        min(max_epochs, N) records of the full run. Callers that
-     *        consume only an epoch prefix (serve sessions with a
-     *        traffic-script budget) skip the rest of the replay.
      */
-    SimResult run(const Trace &trace, const HwConfig &cfg,
-                  std::size_t max_epochs = 0) const;
+    SimResult run(const Trace &trace, const HwConfig &cfg) const;
 
     /**
      * Live dynamic execution: replay the trace while switching to

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared fixtures for the epoch-limit tests: bit-exact EpochRecord
+ * Shared fixtures for the replay-prefix tests: bit-exact EpochRecord
  * comparison, and one small workload per replay path the engine has
  * (SpMSpM on cache L1, SpMSpV on cache L1, SpMSpV on SPM L1).
  */

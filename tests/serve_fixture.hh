@@ -22,7 +22,6 @@
 #include "common/rng.hh"
 #include "serve/server.hh"
 #include "serve/traffic.hh"
-#include "store/epoch_store.hh"
 
 namespace sadapt::test {
 
@@ -79,15 +78,13 @@ goldenScript()
 
 /** The golden run's options at a window and worker count. */
 inline serve::ServeOptions
-goldenOptions(unsigned window, unsigned jobs = 1,
-              store::EpochStore *st = nullptr)
+goldenOptions(unsigned window, unsigned jobs = 1)
 {
     serve::ServeOptions so;
     so.sessions = window;
     so.jobs = jobs;
     so.scale = 0.04;
     so.predictor = &goldenPredictor();
-    so.store = st;
     return so;
 }
 

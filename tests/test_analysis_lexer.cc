@@ -100,18 +100,17 @@ TEST(Lexer, UdlFixtureTokenStream)
 TEST(Lexer, SplicedDirectiveSharesLogicalLine)
 {
     const auto toks = lex("#define M(a) \\\n    (a + 1)\nint x;\n");
-    // All directive tokens share one logical line (so a consumer can
-    // skip the whole directive) while keeping original physical lines
-    // for findings.
-    ASSERT_GE(toks.size(), 4u);
+    // The spliced directive is one logical line spread over physical
+    // lines 1 and 2; its tokens keep their physical lines for findings,
+    // and the code after it starts on line 3.
+    ASSERT_EQ(toks.size(), 14u);
     EXPECT_EQ(toks[0].text, "#");
-    const std::uint64_t dirLogical = toks[0].logicalLine;
-    std::size_t i = 0;
-    for (; i < toks.size() && toks[i].text != "int"; ++i)
-        EXPECT_EQ(toks[i].logicalLine, dirLogical) << toks[i].text;
-    ASSERT_LT(i, toks.size());
-    EXPECT_GT(toks[i].logicalLine, dirLogical);
-    EXPECT_EQ(toks[i].line, 3u);
+    for (std::size_t i = 0; i < 6; ++i)
+        EXPECT_EQ(toks[i].line, 1u) << i << ": " << toks[i].text;
+    for (std::size_t i = 6; i < 11; ++i)
+        EXPECT_EQ(toks[i].line, 2u) << i << ": " << toks[i].text;
+    EXPECT_EQ(toks[11].text, "int");
+    EXPECT_EQ(toks[11].line, 3u);
 }
 
 TEST(Lexer, FloatLiteralClassification)

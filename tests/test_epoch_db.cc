@@ -100,48 +100,6 @@ TEST(EpochDb, InterleavedEnsureAndResultCalls)
         serial.result(baselineConfig()).totalFlops());
 }
 
-/*
- * A budgeted database records the first min(budget, N) epochs of each
- * full run, on both the serial and the parallel ensure() path.
- */
-TEST(EpochDb, BudgetKeepsABitExactPrefixOfEveryConfig)
-{
-    for (const test::PrefixCase &c : test::prefixCases()) {
-        SCOPED_TRACE(c.what);
-        const Workload &wl = c.workload;
-        Rng rng(17);
-        std::vector<HwConfig> cfgs = ConfigSpace(wl.l1Type).sample(4, rng);
-        cfgs.push_back(c.cfg);
-        cfgs.push_back(baselineConfig(wl.l1Type));
-
-        EpochDb full(wl);
-        const std::size_t n = full.numEpochs();
-        ASSERT_GE(n, 3u);
-        EXPECT_EQ(full.epochBudget(), 0u);
-        for (std::size_t budget : {std::size_t{1}, n / 2, n, n + 3}) {
-            SCOPED_TRACE("budget " + std::to_string(budget));
-            EpochDb serial(wl, budget);
-            EXPECT_EQ(serial.epochBudget(), budget);
-            EXPECT_EQ(serial.numEpochs(), std::min(budget, n));
-            serial.ensure(cfgs);
-
-            EpochDb wide(wl, budget);
-            wide.setJobs(4);
-            wide.ensure(cfgs);
-            EXPECT_EQ(wide.numEpochs(), std::min(budget, n));
-            EXPECT_EQ(wide.simulatedConfigs(),
-                      serial.simulatedConfigs());
-            for (const HwConfig &cfg : cfgs) {
-                const auto &want = serial.epochs(cfg);
-                ASSERT_EQ(want.size(), std::min(budget, n));
-                ASSERT_EQ(wide.epochs(cfg).size(), want.size());
-                test::expectPrefixOf(wide.epochs(cfg), want);
-                test::expectPrefixOf(want, full.epochs(cfg));
-            }
-        }
-    }
-}
-
 TEST(Schedule, UniformAndSwitchCount)
 {
     Schedule s = Schedule::uniform(baselineConfig(), 5);

@@ -12,9 +12,9 @@
  * so an engine rewrite that claims "same bits" is checked against the
  * pinned values instead of against itself. The cases cover both
  * kernels (SpMSpM has barrier phases, SpMSpV has none), the 2x8 and
- * 4x16 shapes, SPM mode, an epoch-budgeted prefix, a switching
- * runSchedule (the rescale path) and the replay profile counters of
- * an attached metrics registry.
+ * 4x16 shapes, SPM mode, the first three steps of a Replay, a
+ * switching runSchedule (the rescale path) and the replay profile
+ * counters of an attached metrics registry.
  *
  * On a mismatch the test prints the digest it computed. A new value
  * is only ever committed together with the simulator change that
@@ -25,6 +25,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,10 +194,15 @@ TEST(ReplayGolden, SpMSpVSpmMode)
 TEST(ReplayGolden, EpochBudgetPrefix)
 {
     const Workload wl = spmspm(smallShape, 150);
-    const SimResult r = Transmuter(wl.params).run(
-        wl.trace, bestAvgConfig(MemType::Cache), 3);
-    ASSERT_EQ(r.epochs.size(), 3u);
-    expectDigest(r.epochs, 0x21e2181018c87d09ull);
+    const Transmuter sim(wl.params);
+    Replay replay(sim, wl.trace, bestAvgConfig(MemType::Cache));
+    std::vector<EpochRecord> prefix;
+    for (int e = 0; e < 3; ++e) {
+        const std::optional<EpochRecord> rec = replay.step();
+        ASSERT_TRUE(rec.has_value());
+        prefix.push_back(*rec);
+    }
+    expectDigest(prefix, 0x21e2181018c87d09ull);
 }
 
 TEST(ReplayGolden, SwitchingScheduleSpMSpM)

@@ -236,22 +236,6 @@ TEST(ReplayStepper, ResumingAtEveryBoundaryMatchesRun)
     }
 }
 
-TEST(ReplayStepper, BudgetedRunIsAPrefixOfTheStepper)
-{
-    for (const StepperCase &c : stepperCases()) {
-        SCOPED_TRACE(c.what);
-        const Transmuter sim(c.wl.params);
-        Replay replay(sim, c.wl.trace, c.cfg);
-        const std::vector<EpochRecord> all = stepToEnd(replay);
-        for (const std::size_t budget : {std::size_t{1}, std::size_t{2},
-                                         all.size() + 3}) {
-            const SimResult r = sim.run(c.wl.trace, c.cfg, budget);
-            ASSERT_EQ(r.epochs.size(), std::min(budget, all.size()));
-            sadapt::test::expectPrefixOf(r.epochs, all);
-        }
-    }
-}
-
 /*
  * A switching schedule with telemetry and command faults. The digest
  * covers every record and the injector's event log, so the order of

@@ -2,23 +2,16 @@
  * @file
  * The serving contract: traffic-script round-trips, re-entrant
  * session interleaving, and the byte-identity of the multi-tenant
- * server's merged artifacts (journal, metrics, compacted store) for
- * any admission window — including after a SIGKILL lands mid-replay
- * and a warm rerun finishes the job — and its exact decision-latency
- * quantiles.
+ * server's merged artifacts (journal, metrics) for any admission
+ * window, and its exact decision-latency quantiles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <csignal>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <sys/wait.h>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -31,11 +24,8 @@
 #include "serve/traffic.hh"
 #include "sim/config.hh"
 #include "sparse/suite.hh"
-#include "store/epoch_store.hh"
 
 using namespace sadapt;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -70,45 +60,13 @@ testScript(std::size_t sessions = 6)
 }
 
 serve::ServeOptions
-testOptions(unsigned window, store::EpochStore *st = nullptr)
+testOptions(unsigned window)
 {
     serve::ServeOptions so;
     so.sessions = window;
     so.scale = kScale;
     so.predictor = &sharedPredictor();
-    so.store = st;
     return so;
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    fs::remove(path);
-    fs::remove(path + ".compact");
-    return path;
-}
-
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
-/** Replay into a fresh store at `path`, flush + compact it. */
-serve::ServeResult
-replayWithStore(const serve::TrafficScript &script, unsigned window,
-                const std::string &path)
-{
-    store::EpochStore st;
-    EXPECT_TRUE(st.open(path).isOk());
-    auto r = serve::runServe(script, testOptions(window, &st));
-    EXPECT_TRUE(r.isOk()) << r.message();
-    st.flush();
-    EXPECT_TRUE(st.compact().isOk());
-    return std::move(r.value());
 }
 
 } // namespace
@@ -287,10 +245,11 @@ TEST(SessionStep, InterleavedSessionsMatchSequentialRuns)
 }
 
 /*
- * Serve replays each session only up to its epoch budget. Driving the
- * same sessions to their budget against unbudgeted, full-trace
- * databases must give the same decisions and the same outcome rows
- * bit for bit, so the budget cannot change a decision.
+ * Serve replays each configuration only as far as its session reads,
+ * and a session stops at its epoch budget. Driving the same sessions
+ * to their budget on whole-trace replays (EpochDb::epochs()) must give
+ * the same decisions and the same outcome rows bit for bit, so
+ * stopping early cannot change a decision.
  */
 TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
 {
@@ -321,7 +280,6 @@ TEST(Serve, BudgetedReplaysMatchFullTraceGroundTruth)
         SCOPED_TRACE("session " + std::to_string(spec.id));
         const Workload wl = serve::buildSessionWorkload(spec, kScale);
         EpochDb db(wl);
-        ASSERT_EQ(db.epochBudget(), 0u);
         const ReconfigCostModel cost(wl.params);
         const Policy policy(PolicyKind::Hybrid, 0.4);
         const SessionContext ctx{&sharedPredictor(), &policy,
@@ -480,91 +438,4 @@ TEST(Serve, MergedJournalPassesTheValidator)
     EXPECT_EQ(opens, script.sessions.size());
     EXPECT_EQ(closes, script.sessions.size());
     EXPECT_EQ(decisions, r.value().epochsServed);
-}
-
-TEST(Serve, SharedStoreCompactsToIdenticalBytes)
-{
-    const serve::TrafficScript script = testScript(4);
-
-    const std::string serial = tempPath("serve_serial.store");
-    const serve::ServeResult ref =
-        replayWithStore(script, 1, serial);
-
-    const std::string wide = tempPath("serve_wide.store");
-    const serve::ServeResult got =
-        replayWithStore(script, 0, wide);
-
-    EXPECT_EQ(got.journalText, ref.journalText);
-    EXPECT_EQ(got.metricsText, ref.metricsText);
-    const std::string canonical = fileBytes(serial);
-    ASSERT_FALSE(canonical.empty());
-    EXPECT_EQ(fileBytes(wide), canonical);
-
-    // A warm rerun on the surviving store changes nothing.
-    const serve::ServeResult warm =
-        replayWithStore(script, 2, wide);
-    EXPECT_EQ(warm.journalText, ref.journalText);
-    EXPECT_EQ(warm.metricsText, ref.metricsText);
-    EXPECT_EQ(fileBytes(wide), canonical);
-}
-
-/**
- * Kill-mid-session drill: SIGKILL a replay partway through, then
- * finish the job warm on whatever the store kept. The final merged
- * journal/metrics and the compacted store must be byte-identical to
- * an uninterrupted cold run. (Tests may fork; lint-process-control
- * scopes src/ only.)
- */
-TEST(ServeCrash, Kill9MidReplayThenWarmRerunMatchesCold)
-{
-    const serve::TrafficScript script = testScript(4);
-
-    const std::string cold = tempPath("serve_cold.store");
-    const serve::ServeResult ref =
-        replayWithStore(script, 2, cold);
-    const std::string canonical = fileBytes(cold);
-    ASSERT_FALSE(canonical.empty());
-
-    for (unsigned trial = 0; trial < 6; ++trial) {
-        const std::string path = tempPath("serve_kill9.store");
-        std::fflush(nullptr); // no duplicated stdio in the child
-        const pid_t pid = fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            // Child: replay with the store until killed. _Exit codes
-            // mark setup errors; SIGKILL is the expected way out.
-            store::EpochStore st;
-            if (!st.open(path).isOk())
-                std::_Exit(2);
-            auto r =
-                serve::runServe(script, testOptions(2, &st));
-            if (!r.isOk())
-                std::_Exit(3);
-            st.flush();
-            for (;;) {
-                // Finished early: keep compacting so late kills
-                // still land somewhere interesting.
-                if (!st.compact().isOk())
-                    std::_Exit(4);
-            }
-        }
-        ::usleep(30000 * trial); // sweep the kill across the replay
-        ASSERT_EQ(::kill(pid, SIGKILL), 0);
-        int wstatus = 0;
-        ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-        ASSERT_TRUE(WIFSIGNALED(wstatus))
-            << "child exited with " << WEXITSTATUS(wstatus);
-
-        // Warm rerun on the survivor: everything must converge to
-        // the cold run, byte for byte.
-        const serve::ServeResult warm =
-            replayWithStore(script, 3, path);
-        EXPECT_EQ(warm.journalText, ref.journalText)
-            << "trial " << trial;
-        EXPECT_EQ(warm.metricsText, ref.metricsText)
-            << "trial " << trial;
-        EXPECT_EQ(fileBytes(path), canonical) << "trial " << trial;
-        fs::remove(path);
-        fs::remove(path + ".compact");
-    }
 }

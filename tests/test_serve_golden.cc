@@ -4,8 +4,7 @@
  * publishes — the merged journal, the merged metrics snapshot and the
  * outcome rows (doubles printed with %a, so every bit counts) — for a
  * fixed mixed traffic script (tests/serve_fixture.hh), at several
- * admission windows and worker counts, plus the compacted bytes of a
- * store the run filled.
+ * admission windows and worker counts.
  *
  * The script revisits a configuration, so a change to how a session's
  * epochs are fetched or replayed is caught here. On a mismatch the test
@@ -16,9 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -27,13 +23,10 @@
 #include "obs/journal.hh"
 #include "serve/server.hh"
 #include "serve/traffic.hh"
-#include "store/epoch_store.hh"
 #include "serve_fixture.hh"
 
 using namespace sadapt;
 using namespace sadapt::test;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -90,29 +83,7 @@ servedConfigs(const serve::ServeResult &res)
     return cfgs;
 }
 
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
-/**
- * A fixed simulator salt: the default one hashes the git revision the
- * build was configured at, which would move the store bytes with
- * every commit.
- */
-store::StoreOptions
-storeOptions()
-{
-    store::StoreOptions o;
-    o.simSalt = 0x5e77e;
-    return o;
-}
-
 constexpr std::uint64_t kGoldenRun = 0xd15ae8cc69116767ull;
-constexpr std::uint64_t kGoldenStore = 0xaed35a77ba4fe35eull;
 
 } // namespace
 
@@ -199,42 +170,4 @@ TEST(ServeGolden, ReplaysOnlyTheEpochsSessionsRead)
         }
         EXPECT_EQ(r.value().epochsReplayed, read) << "window " << window;
     }
-
-    // With a store attached every replay runs to the session's epoch
-    // count at first touch, so the store holds whole results.
-    const std::string path =
-        ::testing::TempDir() + "serve_golden_count.store";
-    fs::remove(path);
-    store::EpochStore st;
-    ASSERT_TRUE(st.open(path).isOk());
-    auto r = serve::runServe(goldenScript(), goldenOptions(4, 1, &st));
-    ASSERT_TRUE(r.isOk()) << r.message();
-    EXPECT_EQ(r.value().epochsReplayed, budget);
-    st.close();
-    fs::remove(path);
-}
-
-TEST(ServeGolden, CompactedStoreBytesArePinned)
-{
-    const std::string path =
-        ::testing::TempDir() + "serve_golden.store";
-    fs::remove(path);
-    fs::remove(path + ".compact");
-    {
-        store::EpochStore st;
-        ASSERT_TRUE(st.open(path, storeOptions()).isOk());
-        auto r = serve::runServe(goldenScript(), goldenOptions(2, 1, &st));
-        ASSERT_TRUE(r.isOk()) << r.message();
-        EXPECT_EQ(digestOf(r.value()), kGoldenRun);
-        st.flush();
-        ASSERT_TRUE(st.compact().isOk());
-    }
-    const std::string bytes = fileBytes(path);
-    ASSERT_FALSE(bytes.empty());
-    Fnv d;
-    d.text(bytes);
-    EXPECT_EQ(d.h, kGoldenStore)
-        << "computed digest 0x" << std::hex << d.h;
-    fs::remove(path);
-    fs::remove(path + ".compact");
 }

@@ -12,7 +12,6 @@
 
 #include "adapt/controllers.hh"
 #include "common/rng.hh"
-#include "epoch_records.hh"
 #include "sparse/generators.hh"
 
 using namespace sadapt;
@@ -134,33 +133,4 @@ TEST(StitchingValidation, LiveFlushCausesColdMisses)
                                  Param::L1Sharing, 1);
     const SimResult live = sim.runSchedule(wl.trace, s, cost, true);
     EXPECT_GT(live.epochs[flip].counters.l1MissRate, 0.0);
-}
-
-/*
- * An epoch-limited replay stops right after closing its last epoch.
- * Each record depends only on the ops executed before it closed, so
- * a limited run must reproduce the full run's records bit for bit,
- * for every limit, on every replay path (cache and SPM L1).
- */
-TEST(StitchingValidation, EpochLimitedRunIsABitExactPrefix)
-{
-    for (const test::PrefixCase &c : test::prefixCases()) {
-        SCOPED_TRACE(c.what);
-        Transmuter sim(c.workload.params);
-        const Trace &trace = c.workload.trace;
-        const SimResult full = sim.run(trace, c.cfg);
-        const std::size_t n = full.epochs.size();
-        ASSERT_GE(n, 3u);
-        for (std::size_t k = 1; k <= n + 1; ++k) {
-            SCOPED_TRACE("max_epochs " + std::to_string(k));
-            const SimResult part = sim.run(trace, c.cfg, k);
-            EXPECT_TRUE(part.config == c.cfg);
-            ASSERT_EQ(part.epochs.size(), std::min(k, n));
-            test::expectPrefixOf(part.epochs, full.epochs);
-        }
-        // 0 is the whole trace.
-        test::expectPrefixOf(sim.run(trace, c.cfg, 0).epochs,
-                             full.epochs);
-        EXPECT_EQ(sim.run(trace, c.cfg, 0).epochs.size(), n);
-    }
 }

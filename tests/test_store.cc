@@ -29,7 +29,6 @@
 #include "store/epoch_store.hh"
 #include "store/fingerprint.hh"
 #include "store/record_log.hh"
-#include "epoch_records.hh"
 #include "scratch_dir.hh"
 
 using namespace sadapt;
@@ -884,78 +883,6 @@ TEST(EpochDbStore, FirstConversionInParallelEnsureMatchesSerial)
     };
     EXPECT_EQ(sweep(scratch.path("jobs4.store"), 4),
               sweep(scratch.path("jobs1.store"), 1));
-}
-
-/*
- * The store keys a result by (fingerprint, encode()) alone, so an
- * epoch budget must change the fingerprint: a budgeted database and a
- * full-trace one sharing a store never serve each other's results,
- * while a budget of 0 keys exactly the cells it always did.
- */
-TEST(EpochDbStore, EpochBudgetIsPartOfTheKey)
-{
-    const test::ScratchDir scratch;
-    const std::string path = scratch.path("budget.store");
-    const Workload wl = smallWorkload();
-    const std::vector<HwConfig> cfgs = {baselineConfig(), maxConfig(),
-                                        bestAvgConfig(MemType::Cache)};
-    const std::uint64_t plain =
-        store::workloadFingerprint(wl.trace, wl.params, wl.l1Type);
-
-    EpochDb reference(wl);
-    const std::size_t n = reference.numEpochs();
-    ASSERT_GE(n, 3u);
-    const std::size_t budget = n / 2;
-
-    store::EpochStore st;
-    ASSERT_TRUE(st.open(path, testOptions()).isOk());
-    EpochDb full(wl);
-    full.attachStore(&st);
-    EXPECT_EQ(full.storeFingerprint(), plain);
-
-    EpochDb cut(wl, budget);
-    cut.attachStore(&st);
-    EpochDb longer(wl, budget + 1);
-    longer.attachStore(&st);
-    EXPECT_NE(cut.storeFingerprint(), plain);
-    EXPECT_NE(longer.storeFingerprint(), plain);
-    EXPECT_NE(cut.storeFingerprint(), longer.storeFingerprint());
-
-    // Budgeted results first: all misses, then written back.
-    cut.ensure(cfgs);
-    EXPECT_EQ(st.stats().hits, 0u);
-    EXPECT_EQ(st.stats().misses, cfgs.size());
-    // The full-trace database finds none of them...
-    full.ensure(cfgs);
-    EXPECT_EQ(st.stats().hits, 0u);
-    EXPECT_EQ(st.stats().misses, 2 * cfgs.size());
-    // ...and a longer budget finds neither kind.
-    longer.ensure(cfgs);
-    EXPECT_EQ(st.stats().hits, 0u);
-    for (const HwConfig &cfg : cfgs) {
-        ASSERT_EQ(cut.epochs(cfg).size(), budget);
-        ASSERT_EQ(full.epochs(cfg).size(), n);
-        ASSERT_EQ(longer.epochs(cfg).size(), budget + 1);
-        expectResultsEqual(full.result(cfg), reference.result(cfg));
-        test::expectPrefixOf(cut.epochs(cfg), full.epochs(cfg));
-        test::expectPrefixOf(longer.epochs(cfg), full.epochs(cfg));
-    }
-    st.flush();
-    st.close();
-
-    // A warm budgeted rerun reads its own cells back from disk.
-    store::EpochStore warm;
-    ASSERT_TRUE(warm.open(path, testOptions()).isOk());
-    EpochDb again(wl, budget);
-    again.attachStore(&warm);
-    again.ensure(cfgs);
-    EXPECT_EQ(warm.stats().hits, cfgs.size());
-    EXPECT_EQ(warm.stats().misses, 0u);
-    EXPECT_EQ(warm.stats().putRecords, 0u);
-    for (const HwConfig &cfg : cfgs) {
-        ASSERT_EQ(again.epochs(cfg).size(), budget);
-        test::expectPrefixOf(again.epochs(cfg), cut.epochs(cfg));
-    }
 }
 
 // -------------------------------------------------- crash durability

@@ -62,9 +62,9 @@ ctest --test-dir "$build_dir" -L store --output-on-failure \
     -j "$(nproc)"
 
 # Serving gate: the multi-tenant control server's contract — merged
-# journal/metrics/compacted store byte-identical at any --sessions
-# window, the session-interleaving regression, and the
-# kill-9-mid-replay drill — under the same sanitized build.
+# journal/metrics byte-identical at any --sessions window and worker
+# count, the golden serve pins and the session-interleaving
+# regression — under the same sanitized build.
 echo "== ctest -L serving"
 ctest --test-dir "$build_dir" -L serving --output-on-failure \
     -j "$(nproc)"

@@ -13,10 +13,10 @@
  * byte-identical for any --sessions window and worker count (DESIGN.md
  * section 14), and prints the epochs its sessions replayed against the
  * epochs served. Sessions run on SPARSEADAPT_JOBS workers (default: the
- * hardware concurrency), at most one per window slot; with --store the
- * run is serial. selfcheck proves the byte-identity on the spot by
- * comparing that replay against the fully serial one (window 1, one
- * job) and exits non-zero on any mismatch.
+ * hardware concurrency), at most one per window slot. selfcheck proves
+ * the byte-identity on the spot by comparing that replay against the
+ * fully serial one (window 1, one job) and exits non-zero on any
+ * mismatch.
  * Without --model, a small deterministic built-in model is trained
  * (same recipe every run, so artifacts stay reproducible).
  */
@@ -35,7 +35,6 @@
 #include "common/threading.hh"
 #include "serve/server.hh"
 #include "serve/traffic.hh"
-#include "store/epoch_store.hh"
 
 using namespace sadapt;
 
@@ -49,7 +48,6 @@ struct CliOptions
     std::string modelFile;
     std::string journalFile;
     std::string metricsFile;
-    std::string storeFile;
     std::string policy = "hybrid";
     double tolerance = 0.4;
     double scale = 0.12;
@@ -84,9 +82,7 @@ usage(const char *argv0)
         "  --model <file>       trained predictor (default: built-in\n"
         "                       deterministic mini-model)\n"
         "  --journal <file>     replay: write the merged journal\n"
-        "  --metrics <file>     replay: write the merged metrics\n"
-        "  --store <file>       shared epoch store (compacted on "
-        "exit)\n",
+        "  --metrics <file>     replay: write the merged metrics\n",
         argv0);
     std::exit(2);
 }
@@ -136,8 +132,6 @@ parse(int argc, char **argv)
             o.journalFile = need(i);
         } else if (arg == "--metrics") {
             o.metricsFile = need(i);
-        } else if (arg == "--store") {
-            o.storeFile = need(i);
         } else {
             usage(argv[0]);
         }
@@ -217,8 +211,7 @@ runGenerate(const CliOptions &o)
 }
 
 serve::ServeOptions
-serveOptions(const CliOptions &o, const Predictor &pred,
-             store::EpochStore *epoch_store)
+serveOptions(const CliOptions &o, const Predictor &pred)
 {
     serve::ServeOptions so;
     so.sessions = static_cast<unsigned>(o.sessions);
@@ -228,7 +221,6 @@ serveOptions(const CliOptions &o, const Predictor &pred,
     so.policy = policyKindOf(o.policy);
     so.tolerance = o.tolerance;
     so.mode = o.mode;
-    so.store = epoch_store;
     so.nowNs = [] {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -254,18 +246,8 @@ runReplay(const CliOptions &o)
     const serve::TrafficScript script = loadScript(o);
     const Predictor pred = loadOrTrainPredictor(o);
 
-    store::EpochStore epochStore;
-    store::EpochStore *storePtr = nullptr;
-    if (!o.storeFile.empty()) {
-        const Status st = epochStore.open(o.storeFile);
-        if (!st.isOk())
-            fatal("--store: " + st.message());
-        storePtr = &epochStore;
-    }
-
     const auto wall0 = std::chrono::steady_clock::now();
-    auto r = serve::runServe(script,
-                             serveOptions(o, pred, storePtr));
+    auto r = serve::runServe(script, serveOptions(o, pred));
     if (!r.isOk())
         fatal(r.message());
     const serve::ServeResult &res = r.value();
@@ -274,14 +256,6 @@ runReplay(const CliOptions &o)
             std::chrono::steady_clock::now() - wall0)
             .count();
 
-    if (storePtr != nullptr) {
-        epochStore.flush();
-        // Canonical sorted form: byte-identical across any admission
-        // schedule / --sessions window (DESIGN.md section 14).
-        const Status st = epochStore.compact();
-        if (!st.isOk())
-            fatal("--store: " + st.message());
-    }
     if (!o.journalFile.empty())
         writeFileOrDie(o.journalFile, res.journalText);
     if (!o.metricsFile.empty())
@@ -315,7 +289,7 @@ runSelfcheck(const CliOptions &o)
     const serve::TrafficScript script = loadScript(o);
     const Predictor pred = loadOrTrainPredictor(o);
 
-    serve::ServeOptions concurrent = serveOptions(o, pred, nullptr);
+    serve::ServeOptions concurrent = serveOptions(o, pred);
     auto a = serve::runServe(script, concurrent);
     if (!a.isOk())
         fatal(a.message());
