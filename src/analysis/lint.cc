@@ -26,10 +26,6 @@ statusRegistry()
         "parseConfig",
         "tryReadMatrixMarket",
         "tryReadMatrixMarketFile",
-        "readTraceText",
-        "readTraceTextFile",
-        "tryPushGpe",
-        "tryPushLcp",
         "loadBaseline",
         "FaultSpec::parse",
     };

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/logging.hh"
+
 namespace sadapt {
 
 namespace {
@@ -107,7 +109,11 @@ Rng::gaussian()
 std::vector<std::size_t>
 Rng::sampleIndices(std::size_t n, std::size_t k)
 {
-    assert(k <= n);
+    // Past the population, below(n - i) would reach below(0), whose
+    // modulo divides by zero; a plain assert is compiled out of the
+    // default RelWithDebInfo build.
+    SADAPT_ASSERT(k <= n, str("cannot sample ", k, " distinct indices "
+                              "from ", n));
     // Floyd's algorithm would be better for k << n, but sampled sets here
     // are small; a partial shuffle is simple and unbiased.
     std::vector<std::size_t> all(n);

@@ -57,7 +57,7 @@ class Rng
         }
     }
 
-    /** Sample k distinct indices from [0, n) (k <= n). */
+    /** Sample k distinct indices from [0, n); panics when k > n. */
     std::vector<std::size_t> sampleIndices(std::size_t n, std::size_t k);
 
   private:

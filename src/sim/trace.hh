@@ -9,10 +9,10 @@
  * configurations, which makes the artifact's epoch-stitching methodology
  * (Appendix A.7) exact.
  *
- * A trace has one in-memory form: per-stream columns (op kind, byte
+ * A trace lives only in memory: per-stream columns (op kind, byte
  * address, access-site pc) that kernels append to and the replay
- * engine, the store fingerprint and the text writer read through a
- * non-owning TraceView.
+ * engine and the store fingerprint read through a non-owning
+ * TraceView. No trace is written to or read from a file.
  */
 
 #ifndef SADAPT_SIM_TRACE_HH
@@ -20,15 +20,13 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/status.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace sadapt {
@@ -60,14 +58,6 @@ constexpr bool
 isSpmKind(OpKind k)
 {
     return k == OpKind::SpmLoad || k == OpKind::SpmStore;
-}
-
-/** @return true if the kind accesses the memory hierarchy. */
-constexpr bool
-isMemKind(OpKind k)
-{
-    return k == OpKind::Load || k == OpKind::Store ||
-        k == OpKind::FpLoad || k == OpKind::FpStore;
 }
 
 /** One operation of a core's execution stream, as pushed and read. */
@@ -119,12 +109,6 @@ struct SystemShape
 
     bool operator==(const SystemShape &other) const = default;
 };
-
-/**
- * Sanity cap on system shapes read from a trace file: tiles *
- * gpesPerTile may not exceed this.
- */
-inline constexpr std::uint64_t maxTraceGpes = 4096;
 
 /**
  * Non-owning view of a whole trace: per-core column pointers in
@@ -211,12 +195,6 @@ class Trace
         lcpWriter(tile).push(op);
     }
 
-    /** As pushGpe, but a bad GPE id is a recoverable error. */
-    [[nodiscard]] Status tryPushGpe(std::uint32_t gpe, TraceOp op);
-
-    /** As pushLcp, but a bad tile id is a recoverable error. */
-    [[nodiscard]] Status tryPushLcp(std::uint32_t tile, TraceOp op);
-
     /**
      * Pre-validated append handle for one stream. pushGpe/pushLcp
      * bounds-check the core id on every op, which shows up in release
@@ -230,7 +208,7 @@ class Trace
       public:
         void push(TraceOp op) { streamV->push(op); }
 
-        /** Reserve room for `n` more ops (a decoder knows its count). */
+        /** Reserve room for `n` more ops (append() knows its count). */
         void
         reserve(std::size_t n)
         {
@@ -266,12 +244,6 @@ class Trace
      * Phase ids increase monotonically from 0.
      */
     void beginPhase(const std::string &name);
-
-    /**
-     * Register a phase name without emitting markers; used by trace
-     * deserialization, where the markers are already in the streams.
-     */
-    void registerPhase(std::string name);
 
     StreamView gpeStream(std::uint32_t g) const;
     StreamView lcpStream(std::uint32_t t) const;
@@ -309,8 +281,8 @@ class Trace
      * digestStream() of every stream, hashed once and memoized. The
      * memo is stamped with the total op count and the phase count;
      * the columns are append-only, so any push (through a writer
-     * still live from before the memo, too), append(), beginPhase()
-     * or registerPhase() moves the stamp and the next call re-hashes.
+     * still live from before the memo, too), append() or
+     * beginPhase() moves the stamp and the next call re-hashes.
      * Safe to call from several threads on a const trace; not while
      * another thread appends. A copy starts with an empty memo, a
      * move takes it along.
@@ -358,63 +330,8 @@ class Trace
     mutable DigestMemo memo;
 };
 
-/** Short mnemonic of an op kind in the text trace format. */
+/** Short mnemonic of an op kind (the profile metric names use it). */
 std::string opKindName(OpKind k);
-
-/** Inverse of opKindName(); empty for an unknown mnemonic. */
-std::optional<OpKind> opKindFromName(const std::string &name);
-
-/**
- * A trace plus the file-level metadata its text file carries:
- * the device address-space footprint the emitting kernel allocated,
- * the FP-op epoch length the run was scheduled with, and the epoch
- * count the producer claims the trace covers (0 when unstated).
- */
-struct TraceText
-{
-    Trace trace;
-    std::uint64_t footprint = 0;
-    std::uint64_t epochFpOps = 0;
-    std::uint64_t declaredEpochs = 0;
-};
-
-/**
- * Parse the text trace format:
- *
- *   sadapt-trace v1
- *   shape <tiles> <gpes_per_tile>
- *   footprint <bytes>          (optional)
- *   epoch_fpops <n>            (optional)
- *   epochs <n>                 (optional)
- *   phase <id> <name>          (one per explicit phase, ids dense)
- *   stream gpe|lcp <id> <n_ops>
- *   <timestamp> <kind> <addr> <pc>      (n_ops lines per stream)
- *   end
- *
- * Kinds are int|fp|ld|st|fpld|fpst|spmld|spmst|phase. Timestamps are
- * issue cycles and must be strictly increasing within a stream. Every
- * number is an unsigned decimal, and every line but a phase line (whose
- * name is the rest of the line) has exactly the fields shown. Only
- * blank and '#' comment lines may follow `end`.
- * Malformed headers, unknown directives or kinds, signed or
- * out-of-range numbers, extra fields, out-of-range GPE or tile ids,
- * duplicate streams, non-monotone timestamps, phase ops referencing
- * undeclared phase ids, content after `end` and truncated files are
- * all recoverable errors — never asserts.
- */
-Result<TraceText> readTraceText(std::istream &in);
-
-/** readTraceText() from a file path. */
-Result<TraceText> readTraceTextFile(const std::string &path);
-
-/**
- * Write a trace in the text format; timestamps are the per-stream op
- * issue indices. The inverse of readTraceText() up to metadata.
- */
-void writeTraceText(const Trace &trace, std::ostream &out,
-                    std::uint64_t footprint = 0,
-                    std::uint64_t epoch_fpops = 0,
-                    std::uint64_t declared_epochs = 0);
 
 } // namespace sadapt
 

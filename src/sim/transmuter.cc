@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "sim/cache.hh"
 #include "sim/event_queue.hh"
-#include "sim/faults.hh"
 #include "sim/memory.hh"
 #include "sim/prefetcher.hh"
 #include "sim/reconfig.hh"
@@ -605,30 +604,6 @@ struct Engine
 
 } // namespace
 
-namespace {
-
-/**
- * Telemetry-path fault injection on a just-closed epoch: the record
- * keeps its true timing/energy (those are physical), but the counter
- * sample the host would read is dropped/delayed/corrupted in-band.
- */
-void
-injectTelemetryFaults(FaultInjector *faults, EpochRecord &rec)
-{
-    if (faults == nullptr)
-        return;
-    const auto delivered = faults->filterSample(rec.index,
-                                                rec.counters);
-    if (delivered) {
-        rec.counters = *delivered;
-    } else {
-        rec.counters = PerfCounterSample{};
-        rec.telemetryValid = false;
-    }
-}
-
-} // namespace
-
 /**
  * Everything a suspended replay keeps between two epochs: the engine
  * (with copies of the parameters and DVFS model it references), its
@@ -641,7 +616,6 @@ struct Replay::State
     DvfsModel dvfs;
     TraceView trace;
     Engine eng;
-    FaultInjector *faults;
 
     EventTree events;
     std::vector<std::size_t> cursor;
@@ -661,9 +635,9 @@ struct Replay::State
     bool done = false;
 
     State(const RunParams &rp, const DvfsModel &dv, const Trace &t,
-          const HwConfig &cfg, FaultInjector *f)
+          const HwConfig &cfg)
         : params(rp), dvfs(dv), trace(t.view()),
-          eng(params, cfg, dvfs, trace), faults(f),
+          eng(params, cfg, dvfs, trace),
           events(eng.numCores), cursor(eng.numCores, 0),
           barrierArrivals(trace.phases.size(), 0),
           barrierWaiters(trace.phases.size()),
@@ -682,9 +656,8 @@ struct Replay::State
 };
 
 Replay::Replay(const Transmuter &sim, const Trace &trace,
-               const HwConfig &cfg, FaultInjector *faults)
-    : st(std::make_unique<State>(sim.paramsV, sim.dvfs, trace, cfg,
-                                 faults))
+               const HwConfig &cfg)
+    : st(std::make_unique<State>(sim.paramsV, sim.dvfs, trace, cfg))
 {
     st->eng.metrics = sim.metricsV;
 }
@@ -832,7 +805,6 @@ Replay::step()
         // full run.
         s.maxCycle = max_cycle;
         EpochRecord rec = eng.closeEpoch(s.epochIndex++, s.epochStart, t);
-        injectTelemetryFaults(s.faults, rec);
         s.epochStart = t;
         return rec;
     }
@@ -840,20 +812,17 @@ Replay::step()
     s.maxCycle = max_cycle;
     if (eng.ac.gpeFpOps == 0 && s.epochIndex > 0)
         return std::nullopt;
-    EpochRecord rec = eng.closeEpoch(s.epochIndex++, s.epochStart,
-                                     std::max(max_cycle, s.epochStart + 1));
-    injectTelemetryFaults(s.faults, rec);
-    return rec;
+    return eng.closeEpoch(s.epochIndex++, s.epochStart,
+                          std::max(max_cycle, s.epochStart + 1));
 }
 
 void
-Replay::switchTo(HwConfig next, const ReconfigCostModel &cost_model,
+Replay::switchTo(const HwConfig &next,
+                 const ReconfigCostModel &cost_model,
                  bool energy_efficient_mode)
 {
     State &s = *st;
     Engine &eng = s.eng;
-    if (s.faults != nullptr)
-        next = s.faults->applyCommand(s.epochIndex, eng.cfg, next);
     if (next == eng.cfg)
         return;
     // Live reconfiguration at the epoch boundary: charge the penalty
@@ -916,14 +885,13 @@ Transmuter::run(const Trace &trace, const HwConfig &cfg) const
 SimResult
 Transmuter::runSchedule(const Trace &trace, const Schedule &schedule,
                         const ReconfigCostModel &cost_model,
-                        bool energy_efficient_mode,
-                        FaultInjector *faults) const
+                        bool energy_efficient_mode) const
 {
     SADAPT_ASSERT(!schedule.configs.empty(), "empty schedule");
     SimResult result;
     result.config = schedule.configs.front();
     result.epochs.reserve(epochCount(trace, 0));
-    Replay replay(*this, trace, result.config, faults);
+    Replay replay(*this, trace, result.config);
     while (std::optional<EpochRecord> rec = replay.step()) {
         result.epochs.push_back(*rec);
         const std::size_t e = result.epochs.size();

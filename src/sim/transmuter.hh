@@ -27,7 +27,6 @@
 
 namespace sadapt {
 
-class FaultInjector;
 
 /**
  * Per-GPE scratchpad bank size in SPM L1 mode (Section 3.4: the SPM
@@ -81,8 +80,9 @@ struct EpochRecord
     PerfCounterSample counters;
 
     /**
-     * False when fault injection dropped this epoch's telemetry (the
-     * counters are then zeroed). Always true without an injector.
+     * Always true: the replay engine injects no faults (the control
+     * loop injects telemetry faults on its own copy of the sample).
+     * Kept because it is a byte of the epoch store's v1 payload.
      */
     bool telemetryValid = true;
 
@@ -142,17 +142,10 @@ class Transmuter
      *
      * @param schedule one configuration per epoch (length must match
      *        the trace's epoch count; extra entries are ignored).
-     * @param faults optional fault injector: telemetry-path faults
-     *        perturb each closing epoch's counters in-band, and
-     *        command-path faults can divert the epoch-boundary
-     *        reconfiguration away from the scheduled configuration.
-     *        Null leaves behaviour bit-identical to the fault-free
-     *        path.
      */
     SimResult runSchedule(const Trace &trace, const Schedule &schedule,
                           const ReconfigCostModel &cost_model,
-                          bool energy_efficient_mode,
-                          FaultInjector *faults = nullptr) const;
+                          bool energy_efficient_mode) const;
 
     /**
      * The number of epoch records a replay of `trace` closes, without
@@ -209,11 +202,8 @@ class Replay
      *        to replay with.
      * @param trace functional trace (shape must match the simulator).
      * @param cfg the configuration of the first epoch.
-     * @param faults optional fault injector for the telemetry of every
-     *        closed epoch and the command path of every switchTo().
      */
-    Replay(const Transmuter &sim, const Trace &trace, const HwConfig &cfg,
-           FaultInjector *faults = nullptr);
+    Replay(const Transmuter &sim, const Trace &trace, const HwConfig &cfg);
     ~Replay();
     Replay(Replay &&other) noexcept;
     Replay &operator=(Replay &&other) noexcept;
@@ -228,13 +218,13 @@ class Replay
     bool done() const;
 
     /**
-     * Reconfigure at the boundary the last step() closed: the fault
-     * injector's command path may divert `next`; a change resizes and
-     * flushes the caches as the cost model says, charges its penalty
-     * into the next epoch and rescales every pending event into the
-     * new clock domain.
+     * Reconfigure at the boundary the last step() closed: a change
+     * resizes and flushes the caches as the cost model says, charges
+     * its penalty into the next epoch and rescales every pending event
+     * into the new clock domain.
      */
-    void switchTo(HwConfig next, const ReconfigCostModel &cost_model,
+    void switchTo(const HwConfig &next,
+                  const ReconfigCostModel &cost_model,
                   bool energy_efficient_mode);
 
   private:

@@ -3,8 +3,9 @@
  * The determinism contract of the parallel sweep engine (DESIGN.md
  * section 9): for any jobs value, EpochDb contents, exported metrics,
  * journal bytes and every stitched ScheduleEval are bit-identical to
- * the jobs=1 serial run — with and without fault injection, and when
- * the batch completes partially read entries.
+ * the jobs=1 serial run — with and without fault injection, with and
+ * without a persistent store (whose file bytes must match too), and
+ * when the batch completes partially read entries.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "adapt/runner.hh"
 #include "common/rng.hh"
@@ -161,14 +163,20 @@ TEST(ParallelDeterminism, MetricShardsMergeLikeSerialExports)
 TEST(ParallelDeterminism, ComparisonSchemesIdenticalAcrossJobs)
 {
     Workload wl = sweepWorkload();
+    const test::ScratchDir scratch;
 
     auto run = [&](unsigned jobs, std::string *journal_out,
-                   std::string *metrics_out) {
+                   std::string *metrics_out, std::string *store_out) {
+        const std::string store_path =
+            scratch.path("jobs" + std::to_string(jobs) + ".store");
         std::ostringstream journal;
         obs::RunObserver observer;
         observer.attachJournal(journal);
-        Comparison cmp(wl, &sharedPredictor(),
-                       optionsWith(jobs, &observer));
+        store::EpochStore st;
+        SADAPT_ASSERT(st.open(store_path).isOk(), "store open");
+        ComparisonOptions co = optionsWith(jobs, &observer);
+        co.store = &st;
+        Comparison cmp(wl, &sharedPredictor(), co);
         struct
         {
             ScheduleEval stat, greedy, oracle, sa;
@@ -181,12 +189,16 @@ TEST(ParallelDeterminism, ComparisonSchemesIdenticalAcrossJobs)
         out.simulated = cmp.db().simulatedConfigs();
         *journal_out = journal.str();
         *metrics_out = metricsText(observer.metrics());
+        st.flush();
+        std::ifstream in(store_path, std::ios::binary);
+        store_out->assign(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
         return out;
     };
 
-    std::string journal1, metrics1, journal8, metrics8;
-    const auto serial = run(1, &journal1, &metrics1);
-    const auto parallel = run(8, &journal8, &metrics8);
+    std::string journal1, metrics1, store1, journal8, metrics8, store8;
+    const auto serial = run(1, &journal1, &metrics1, &store1);
+    const auto parallel = run(8, &journal8, &metrics8, &store8);
 
     expectIdenticalEvals(parallel.stat, serial.stat);
     expectIdenticalEvals(parallel.greedy, serial.greedy);
@@ -196,6 +208,8 @@ TEST(ParallelDeterminism, ComparisonSchemesIdenticalAcrossJobs)
     EXPECT_FALSE(journal1.empty());
     EXPECT_EQ(journal8, journal1); // byte-identical decision trail
     EXPECT_EQ(metrics8, metrics1); // byte-identical metric snapshot
+    EXPECT_FALSE(store1.empty());
+    EXPECT_EQ(store8, store1); // byte-identical store file
 }
 
 TEST(ParallelDeterminism, FaultInjectedRunIdenticalAcrossJobs)

@@ -5,10 +5,9 @@
  * A replay suspended at every epoch boundary, with other replays run
  * in between and the object moved between steps, must produce the
  * one-shot Transmuter::run records bit for bit, on both kernels, both
- * system shapes and both L1 types. A switching schedule with fault
- * injection is pinned by digest (records plus the injector's event
- * log), and a Replay driven by hand with switchTo() must reproduce
- * it. Transmuter::epochCount must equal the count a replay actually
+ * system shapes and both L1 types. A switching schedule is pinned by
+ * a digest of its records, and a Replay driven by hand with
+ * switchTo() must reproduce it. Transmuter::epochCount must equal the count a replay actually
  * closes on every suite input and on hand-built edge cases.
  */
 
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "epoch_records.hh"
-#include "sim/faults.hh"
 #include "sim/reconfig.hh"
 #include "sim/schedule.hh"
 #include "sim/transmuter.hh"
@@ -114,19 +112,7 @@ switchingSchedule(MemType l1, std::size_t epochs)
     return s;
 }
 
-FaultSpec
-stepperFaults()
-{
-    FaultSpec spec;
-    spec.dropRate = 0.1;
-    spec.corruptRate = 0.15;
-    spec.delayRate = 0.1;
-    spec.reconfigFailRate = 0.3;
-    spec.seed = 9;
-    return spec;
-}
-
-/** FNV-1a over 64-bit words and strings. */
+/** FNV-1a over 64-bit words. */
 struct Digest
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -141,21 +127,11 @@ struct Digest
     }
 
     void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
-
-    void
-    text(const std::string &s)
-    {
-        for (unsigned char c : s) {
-            h ^= c;
-            h *= 0x100000001b3ull;
-        }
-    }
 };
 
-/** Every record field, then every fault event of the injector. */
+/** Every field of every record. */
 std::uint64_t
-digestOf(const std::vector<EpochRecord> &epochs,
-         const FaultInjector &faults)
+digestOf(const std::vector<EpochRecord> &epochs)
 {
     Digest d;
     d.word(epochs.size());
@@ -173,12 +149,6 @@ digestOf(const std::vector<EpochRecord> &epochs,
         d.word(r.telemetryValid ? 1 : 0);
         for (double v : r.counters.toVector())
             d.real(v);
-    }
-    d.word(faults.events().size());
-    for (const FaultEvent &ev : faults.events()) {
-        d.word(ev.epoch);
-        d.word(static_cast<std::uint64_t>(ev.kind));
-        d.text(ev.detail);
     }
     return d.h;
 }
@@ -237,12 +207,12 @@ TEST(ReplayStepper, ResumingAtEveryBoundaryMatchesRun)
 }
 
 /*
- * A switching schedule with telemetry and command faults. The digest
- * covers every record and the injector's event log, so the order of
- * filterSample()/applyCommand() calls at each boundary is pinned too.
- * The value was computed by the one-shot engine this stepper replaced.
+ * A switching schedule that changes clock, capacities and sharing
+ * modes at every boundary. The digest covers every field of every
+ * record, so the reconfiguration penalties, flushes and clock-domain
+ * rescales of each switchTo() are pinned too.
  */
-TEST(ReplayStepper, SwitchingScheduleWithFaultsIsPinned)
+TEST(ReplayStepper, SwitchingScheduleIsPinned)
 {
     struct Pinned
     {
@@ -252,9 +222,9 @@ TEST(ReplayStepper, SwitchingScheduleWithFaultsIsPinned)
     };
     Pinned pins[] = {
         {spmspm(bigShape, MemType::Cache, 40), true,
-         0x96f6fdf4657a960bull},
+         0xcf90c113dbf44380ull},
         {spmspv(smallShape, MemType::Spm, 20), false,
-         0x86739c82e1dd47c3ull},
+         0xe5307a2b9d54f112ull},
     };
     for (Pinned &p : pins) {
         SCOPED_TRACE(p.wl.name);
@@ -264,18 +234,15 @@ TEST(ReplayStepper, SwitchingScheduleWithFaultsIsPinned)
         const Schedule schedule = switchingSchedule(p.wl.l1Type, n + 2);
         const ReconfigCostModel cost(p.wl.params);
 
-        FaultInjector faults(stepperFaults());
         const SimResult live =
-            sim.runSchedule(p.wl.trace, schedule, cost, p.ee, &faults);
+            sim.runSchedule(p.wl.trace, schedule, cost, p.ee);
         ASSERT_EQ(live.epochs.size(), n);
-        EXPECT_GT(faults.stats().reconfigFailures, 0u);
-        const std::uint64_t got = digestOf(live.epochs, faults);
+        const std::uint64_t got = digestOf(live.epochs);
         EXPECT_EQ(got, p.digest)
             << "computed digest 0x" << std::hex << got;
 
         // The same schedule, driven by hand through switchTo().
-        FaultInjector again(stepperFaults());
-        Replay replay(sim, p.wl.trace, schedule.configs.front(), &again);
+        Replay replay(sim, p.wl.trace, schedule.configs.front());
         std::vector<EpochRecord> driven;
         while (std::optional<EpochRecord> rec = replay.step()) {
             driven.push_back(*rec);
@@ -283,7 +250,7 @@ TEST(ReplayStepper, SwitchingScheduleWithFaultsIsPinned)
                 replay.switchTo(schedule.configs[driven.size()], cost,
                                 p.ee);
         }
-        EXPECT_EQ(digestOf(driven, again), got);
+        EXPECT_EQ(digestOf(driven), got);
     }
 }
 

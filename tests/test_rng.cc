@@ -113,6 +113,13 @@ TEST(Rng, SampleIndicesFullPopulation)
         EXPECT_EQ(idx[i], i);
 }
 
+TEST(RngDeathTest, SampleIndicesPastThePopulationPanics)
+{
+    Rng rng(19);
+    EXPECT_DEATH(rng.sampleIndices(10, 20),
+                 "cannot sample 20 distinct indices from 10");
+}
+
 TEST(Rng, ShuffleIsPermutation)
 {
     Rng rng(23);

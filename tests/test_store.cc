@@ -417,15 +417,6 @@ TEST(Fingerprint, MemoFollowsAppendAndPhases)
         EXPECT_NE(laneKey(t), before);
         EXPECT_EQ(laneKey(t), laneKey(fresh));
     }
-    {
-        Trace t = laneTrace(ops);
-        const std::uint64_t before = laneKey(t);
-        t.registerPhase("merge");
-        Trace fresh = laneTrace(ops);
-        fresh.registerPhase("merge");
-        EXPECT_NE(laneKey(t), before);
-        EXPECT_EQ(laneKey(t), laneKey(fresh));
-    }
 }
 
 TEST(Fingerprint, MemoNeverCoversTheRunParams)

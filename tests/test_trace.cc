@@ -6,15 +6,44 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "extreme_trace.hh"
 #include "sim/trace.hh"
 
 using namespace sadapt;
+
+namespace {
+
+/**
+ * A small trace at the edges of the op model: every op kind, pc ids
+ * at both u16 extremes, addresses across the whole u64 range (0, u64
+ * max, and jumps in both directions), an empty GPE stream and two
+ * phases.
+ */
+Trace
+extremeTrace()
+{
+    constexpr Addr kMax = std::numeric_limits<Addr>::max();
+    Trace t(SystemShape{2, 2});
+    t.beginPhase("stress");
+    t.pushGpe(0, {0, 0, OpKind::Load});
+    t.pushGpe(0, {kMax, 0xffff, OpKind::Store});
+    t.pushGpe(0, {1, 1, OpKind::FpLoad});
+    t.pushGpe(0, {kMax / 2, 7, OpKind::FpStore});
+    t.pushGpe(0, {kMax / 2 + 1, 7, OpKind::FpOp});
+    t.pushGpe(1, {0x8000000000000000ull, 2, OpKind::SpmLoad});
+    t.pushGpe(1, {0x7fffffffffffffffull, 3, OpKind::SpmStore});
+    t.pushGpe(2, {42, 4, OpKind::IntOp});
+    // GPE 3 gets only the phase markers.
+    t.beginPhase("tail");
+    t.pushLcp(0, {kMax - 1, 0xfffe, OpKind::Load});
+    t.pushLcp(1, {0, 0, OpKind::IntOp});
+    return t;
+}
+
+} // namespace
 
 TEST(Trace, ShapeAndStreams)
 {
@@ -148,7 +177,7 @@ TEST(Trace, ViewMatchesSourceStreams)
         {kMax / 2 + 1, 7, OpKind::FpOp},
         {1, 0, OpKind::Phase},
     };
-    const Trace t = test::extremeTrace();
+    const Trace t = extremeTrace();
     const TraceView view = t.view();
     EXPECT_EQ(view.shape, t.shape());
     ASSERT_EQ(view.streams.size(),
@@ -177,21 +206,4 @@ TEST(Trace, ViewMatchesSourceStreams)
     EXPECT_EQ(lcp.op(2).kind, OpKind::Load);
     // The accessors and the view read the same columns.
     EXPECT_EQ(t.lcpStream(0).addr, lcp.addr);
-}
-
-TEST(TraceText, RejectsShapeThatWrapsWhenMultiplied)
-{
-    // 2^63 * 2 wraps to 0 in u64; each dimension is bounded before
-    // the product is formed.
-    for (const char *shape : {"shape 9223372036854775808 2\n",
-                              "shape 2 9223372036854775808\n",
-                              "shape 4294967296 4294967296\n",
-                              "shape 4097 1\n"}) {
-        std::istringstream in(std::string("sadapt-trace v1\n") +
-                              shape + "end\n");
-        const Result<TraceText> r = readTraceText(in);
-        ASSERT_FALSE(r.isOk()) << shape;
-        EXPECT_NE(r.message().find("exceeds"), std::string::npos)
-            << r.message();
-    }
 }

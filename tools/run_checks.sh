@@ -20,12 +20,11 @@ cmake -B "$build_dir" -S "$repo_root" \
 echo "== build (ASan+UBSan)"
 cmake --build "$build_dir" -j "$(nproc)" > /dev/null
 
-echo "== sadapt_check: sources (lint), models, traces, specs, journals, stores"
+echo "== sadapt_check: sources (lint), models, specs, journals, stores"
 "$build_dir/tools/sadapt_check" all \
     --root "$repo_root" \
     --src "$repo_root/src" \
     --model "$repo_root/tests/data/analysis/good.model" \
-    --trace "$repo_root/tests/data/analysis/good.trace" \
     --specs "$repo_root/tests/data/analysis/good_specs.txt" \
     --journal "$repo_root/tests/data/analysis/good.journal" \
     --store "$repo_root/tests/data/analysis/good.store" \
@@ -37,10 +36,9 @@ echo "== ctest -L analysis|obs (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L 'analysis|obs' --output-on-failure \
     -j "$(nproc)"
 
-# Trace-reader gate: the trace container, the text format's golden
-# pins and the malformed-input cases. A reader that
-# faults on a hostile file (an overflow, an oversized allocation, an
-# out-of-bounds read) fails here by test name under the sanitizers.
+# Trace-container gate: the container, its column view and the golden
+# fingerprint pin. An out-of-bounds column read or a changed digest
+# fails here by test name under the sanitizers.
 echo "== ctest -L trace (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L trace --output-on-failure \
     -j "$(nproc)"
@@ -69,10 +67,10 @@ echo "== ctest -L serving"
 ctest --test-dir "$build_dir" -L serving --output-on-failure \
     -j "$(nproc)"
 
-# Trace-reload + jobs=N determinism gate: a text-reloaded workload
-# must replay byte-identically to the in-memory one (EpochDb, metrics,
-# journal, store files) under the sanitized build too; the same suite
-# reruns under TSan below.
+# jobs=N determinism gate: sweeps (EpochDb, metrics, journal, store
+# files) and serve's session workers must match their serial runs
+# byte for byte under the sanitized build too; the same suite reruns
+# under TSan below.
 echo "== ctest -L threading (ASan+UBSan)"
 ctest --test-dir "$build_dir" -L threading --output-on-failure \
     -j "$(nproc)"

@@ -4,11 +4,10 @@
  * artifacts and sources.
  *
  *   sadapt_check model tests/data/analysis/good.model
- *   sadapt_check trace examples/data/spmspv.trace
  *   sadapt_check specs tools/known_specs.txt
  *   sadapt_check lint --root . src
  *   sadapt_check all --root . --src src --model m.model \
- *                --trace t.trace --specs s.txt
+ *                --specs s.txt
  *
  * Every subcommand accepts --baseline <file> to suppress accepted
  * findings. Exit code: 0 when no error-severity findings remain,
@@ -30,7 +29,6 @@
 #include "analysis/model_check.hh"
 #include "analysis/spec_check.hh"
 #include "analysis/store_check.hh"
-#include "analysis/trace_check.hh"
 
 using namespace sadapt;
 using namespace sadapt::analysis;
@@ -46,7 +44,6 @@ usage()
         "\n"
         "subcommands:\n"
         "  model <file>...    verify decision-tree model files\n"
-        "  trace <file>...    validate operation trace files\n"
         "  specs <file>...    validate config/fault spec-list files\n"
         "  journal <file>...  validate observability event journals\n"
         "  store <file>...    validate persistent epoch-store files\n"
@@ -61,7 +58,6 @@ usage()
         "  --root <dir>       report lint paths relative to <dir>\n"
         "  --src <dir>        (all) lint this directory; repeatable\n"
         "  --model <file>     (all) verify this model; repeatable\n"
-        "  --trace <file>     (all) validate this trace; repeatable\n"
         "  --specs <file>     (all) validate this spec list; "
         "repeatable\n"
         "  --journal <file>   (all) validate this journal; "
@@ -82,7 +78,6 @@ struct Options
     std::vector<std::string> args;
     std::vector<std::string> srcDirs;
     std::vector<std::string> models;
-    std::vector<std::string> traces;
     std::vector<std::string> specs;
     std::vector<std::string> journals;
     std::vector<std::string> stores;
@@ -112,8 +107,6 @@ parseArgs(int argc, char **argv)
             o.srcDirs.push_back(need(i));
         else if (arg == "--model")
             o.models.push_back(need(i));
-        else if (arg == "--trace")
-            o.traces.push_back(need(i));
         else if (arg == "--specs")
             o.specs.push_back(need(i));
         else if (arg == "--journal")
@@ -159,11 +152,6 @@ main(int argc, char **argv)
             usage();
         for (const auto &f : o.args)
             report.merge(checkModelFile(f));
-    } else if (o.subcommand == "trace") {
-        if (o.args.empty())
-            usage();
-        for (const auto &f : o.args)
-            report.merge(checkTraceFile(f));
     } else if (o.subcommand == "specs") {
         if (o.args.empty())
             usage();
@@ -190,8 +178,6 @@ main(int argc, char **argv)
         report.merge(runLint(o, o.srcDirs));
         for (const auto &f : o.models)
             report.merge(checkModelFile(f));
-        for (const auto &f : o.traces)
-            report.merge(checkTraceFile(f));
         for (const auto &f : o.specs)
             report.merge(checkSpecFile(f));
         for (const auto &f : o.journals)

@@ -72,8 +72,9 @@ usage(const char *argv0)
         "  --l1 cache|spm             L1 memory type (default cache)\n"
         "  --bandwidth <B/s>          off-chip bandwidth (default "
         "1e9)\n"
-        "  --samples <n>              oracle candidate samples "
-        "(default 24)\n"
+        "  --samples <n>              oracle candidate samples, 1 to "
+        "the\n"
+        "                             config space size (default 24)\n"
         "  --policy conservative|aggressive|hybrid (default hybrid)\n"
         "  --tolerance <f>            hybrid tolerance (default 0.4)\n"
         "  --model <file>             trained predictor (enables "
@@ -123,15 +124,23 @@ parse(int argc, char **argv)
             o.scale = std::atof(need(i));
         } else if (arg == "--mode") {
             const std::string m = need(i);
+            if (m != "ee" && m != "pp")
+                usage(argv[0]);
             o.mode = m == "pp" ? OptMode::PowerPerformance
                                : OptMode::EnergyEfficient;
         } else if (arg == "--l1") {
-            o.l1 = std::string(need(i)) == "spm" ? MemType::Spm
-                                                 : MemType::Cache;
+            const std::string l1 = need(i);
+            if (l1 != "cache" && l1 != "spm")
+                usage(argv[0]);
+            o.l1 = l1 == "spm" ? MemType::Spm : MemType::Cache;
         } else if (arg == "--bandwidth") {
             o.bandwidth = std::atof(need(i));
         } else if (arg == "--samples") {
-            o.samples = std::atoi(need(i));
+            const char *n = need(i);
+            char *end = nullptr;
+            o.samples = std::strtoull(n, &end, 10);
+            if (*n < '0' || *n > '9' || *end != '\0')
+                usage(argv[0]);
         } else if (arg == "--policy") {
             o.policy = need(i);
         } else if (arg == "--tolerance") {
@@ -156,6 +165,10 @@ parse(int argc, char **argv)
             usage(argv[0]);
         }
     }
+    // The oracle samples distinct configurations, so there can be no
+    // more samples than the space of the chosen L1 type holds.
+    if (o.samples == 0 || o.samples > ConfigSpace(o.l1).size())
+        usage(argv[0]);
     if (o.storeFile.empty()) {
         const char *env = std::getenv("SPARSEADAPT_STORE");
         if (env != nullptr)
